@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/string_util.h"
 #include "exec/bound_expr.h"
 
 namespace swift {
@@ -31,15 +32,21 @@ class TableMorselSource final : public PhysicalOperator {
   }
 
   Status Open() override { return Status::OK(); }
-  bool columnar() const override { return true; }
 
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     if (cursor_ >= end_) return std::optional<ColumnBatch>();
     const std::size_t take = std::min(morsel_rows_, end_ - cursor_);
+    const std::size_t width = output_schema_.num_fields();
+    for (std::size_t r = cursor_; r < cursor_ + take; ++r) {
+      if (table_->rows[r].size() != width) {
+        return Status::InvalidArgument(StrFormat(
+            "table %s: row %zu has %zu cells, schema has %zu",
+            table_->name.c_str(), r, table_->rows[r].size(), width));
+      }
+    }
     ColumnBatch out;
     out.schema = output_schema_;
     out.physical_rows = take;
-    const std::size_t width = output_schema_.num_fields();
     out.columns.reserve(width);
     for (std::size_t c = 0; c < width; ++c) {
       ColumnVector col = ColumnVector::OfType(output_schema_.field(c).type);
@@ -51,18 +58,6 @@ class TableMorselSource final : public PhysicalOperator {
     }
     cursor_ += take;
     return std::optional<ColumnBatch>(std::move(out));
-  }
-
-  Result<std::optional<Batch>> Next() override {
-    if (cursor_ >= end_) return std::optional<Batch>();
-    const std::size_t take = std::min(morsel_rows_, end_ - cursor_);
-    Batch b;
-    b.schema = output_schema_;
-    b.rows.assign(
-        table_->rows.begin() + static_cast<std::ptrdiff_t>(cursor_),
-        table_->rows.begin() + static_cast<std::ptrdiff_t>(cursor_ + take));
-    cursor_ += take;
-    return std::optional<Batch>(std::move(b));
   }
 
  private:
@@ -85,9 +80,8 @@ class MorselSource final : public PhysicalOperator {
   }
 
   Status Open() override { return Status::OK(); }
-  bool columnar() const override { return true; }
 
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     for (;;) {
       if (idx_ >= batches_.size()) return std::optional<ColumnBatch>();
       ColumnBatch& cur = batches_[idx_];
@@ -112,14 +106,6 @@ class MorselSource final : public PhysicalOperator {
     }
   }
 
-  Result<std::optional<Batch>> Next() override {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> cb, NextColumnar());
-    if (!cb.has_value()) return std::optional<Batch>();
-    Batch b = ToRowBatch(*cb);
-    b.schema = output_schema_;
-    return std::optional<Batch>(std::move(b));
-  }
-
  private:
   std::vector<ColumnBatch> batches_;
   std::size_t morsel_rows_;
@@ -128,29 +114,6 @@ class MorselSource final : public PhysicalOperator {
 };
 
 // ---- Parallel pipeline segment --------------------------------------
-
-// Predicate truthiness, identical to FilterOp / EvaluatePredicate
-// semantics: NULL is false, numeric nonzero / non-empty string true.
-bool MorselTruthy(const ColumnVector& col, std::size_t i) {
-  switch (col.rep()) {
-    case ColumnRep::kNull:
-      return false;
-    case ColumnRep::kInt64:
-      return !col.IsNull(i) && col.Int64At(i) != 0;
-    case ColumnRep::kFloat64:
-      return !col.IsNull(i) && col.Float64At(i) != 0.0;
-    case ColumnRep::kString:
-      return !col.IsNull(i) && !col.StrAt(i).empty();
-    case ColumnRep::kBoxed: {
-      const Value& v = col.BoxedAt(i);
-      if (v.is_null()) return false;
-      if (v.is_int64()) return v.int64() != 0;
-      if (v.is_float64()) return v.float64() != 0.0;
-      return !v.str().empty();
-    }
-  }
-  return false;
-}
 
 // One bound (compiled) step. BoundExprPtr is shared_ptr<const>, so the
 // same bound step is safely shared by every lane; only the scratch
@@ -167,25 +130,15 @@ struct LaneScratch {
 };
 
 // Applies the segment's steps to one morsel in place. Filter composes a
-// selection vector over the input's physical storage (exactly like
-// FilterOp::NextColumnar); project emits dense columns (like
-// ProjectOp). A fully-filtered morsel becomes logically empty and is
-// dropped by the merge sink, matching FilterOp's never-emit-empties
-// contract.
+// selection vector over the input's physical storage (ApplyPredicate,
+// exactly like FilterOp); project emits dense columns (like ProjectOp).
+// A fully-filtered morsel becomes logically empty and is dropped by the
+// merge sink, matching FilterOp's never-emit-empties contract.
 Status RunSteps(const std::vector<BoundStep>& steps, LaneScratch* scratch,
                 ColumnBatch* m) {
   for (const BoundStep& st : steps) {
     if (st.kind == MorselStep::Kind::kFilter) {
-      SWIFT_RETURN_NOT_OK(st.predicate->EvaluateVector(*m, &scratch->pred));
-      const std::size_t n = m->num_rows();
-      std::vector<uint32_t> sel;
-      sel.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (MorselTruthy(scratch->pred, i)) {
-          sel.push_back(static_cast<uint32_t>(m->PhysicalIndex(i)));
-        }
-      }
-      m->selection = std::move(sel);
+      SWIFT_RETURN_NOT_OK(ApplyPredicate(*st.predicate, &scratch->pred, m));
     } else {
       ColumnBatch out;
       out.schema = st.out_schema;
@@ -240,7 +193,7 @@ class PipelineCore {
       if (next_claim_ - retired_ >= window_) return false;
       // Pull under the lock: operator sources are not thread-safe. The
       // pull is cheap relative to the step work, which runs unlocked.
-      Result<std::optional<ColumnBatch>> r = source_->NextColumnar();
+      Result<std::optional<ColumnBatch>> r = source_->Next();
       if (!r.ok()) {
         // Surface the source error at its sequence position, exactly
         // where serial execution would have hit it.
@@ -450,18 +403,8 @@ class ParallelMorselPipelineOp final : public PhysicalOperator {
     return Status::OK();
   }
 
-  bool columnar() const override { return core_->source()->columnar(); }
-
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     return core_->Pull(&scratch_);
-  }
-
-  Result<std::optional<Batch>> Next() override {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> cb, NextColumnar());
-    if (!cb.has_value()) return std::optional<Batch>();
-    Batch b = ToRowBatch(*cb);
-    b.schema = output_schema_;
-    return std::optional<Batch>(std::move(b));
   }
 
  private:

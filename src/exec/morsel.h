@@ -29,10 +29,8 @@ inline constexpr std::size_t kDefaultMorselRows = 1024;
 /// `task_index` of `task_count` as dense ColumnBatch morsels of at most
 /// `morsel_rows` rows, built straight from `table->rows` through
 /// Table::TaskSliceBounds — the task slice is never materialized as a
-/// whole. The caller must have verified the slice is uniform (every row
-/// has schema-width cells); ragged slices take the row-path fallback
-/// (Table::TaskSlice + MakeBatchSource) instead. Row consumers get
-/// morsel-sized row batches copied on demand.
+/// whole. A row whose width does not match `schema` fails the pull that
+/// reaches it with InvalidArgument naming the table and row.
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
                                   Schema schema, std::size_t morsel_rows);

@@ -13,34 +13,25 @@
 
 namespace swift {
 
+class BoundExpr;
+
 /// \brief Pull-based physical operator: Open() then Next() until
 /// std::nullopt. Output schema is valid after Open().
 ///
-/// Operators expose two pull interfaces over the same stream: the row
-/// API (Next) and the columnar API (NextColumnar). A tree must be
-/// drained through exactly one of them. columnar() reports whether this
-/// operator produces ColumnBatches natively; the default NextColumnar
-/// adapts Next() through ToColumnBatch so any tree can be consumed
-/// columnar, and row consumers of native-columnar operators get
-/// ToRowBatch conversions — both directions produce identical logical
-/// rows.
+/// There is one execution path: every operator consumes and produces
+/// ColumnBatches. Row batches exist only at the API edge — MakeBatchSource
+/// converts rows in (ToColumnBatch) and CollectAll boxes rows out
+/// (ToRowBatch).
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
 
   virtual Status Open() = 0;
-  /// \brief Next output batch, or nullopt at end of stream.
-  virtual Result<std::optional<Batch>> Next() = 0;
 
-  /// \brief Next output batch in columnar form, or nullopt at end of
-  /// stream. Batches may carry selection vectors; consumers must go
-  /// through num_rows()/PhysicalIndex(), never a column's size().
-  virtual Result<std::optional<ColumnBatch>> NextColumnar();
-
-  /// \brief True when NextColumnar is the native (vectorized) path for
-  /// this operator and its inputs — the runtime picks the execution
-  /// mode per task tree from the root's answer.
-  virtual bool columnar() const { return false; }
+  /// \brief Next output batch, or nullopt at end of stream. Batches may
+  /// carry selection vectors; consumers must go through
+  /// num_rows()/PhysicalIndex(), never a column's size().
+  virtual Result<std::optional<ColumnBatch>> Next() = 0;
 
   const Schema& output_schema() const { return output_schema_; }
 
@@ -71,18 +62,19 @@ struct AggSpec {
 
 // ---- Sources --------------------------------------------------------
 
-/// \brief Emits pre-materialized batches (table slices, shuffle input).
+/// \brief API-edge source over row batches: each batch is converted with
+/// ToColumnBatch when pulled, so a ragged batch (a row whose width does
+/// not match the schema) fails that pull with InvalidArgument.
 OperatorPtr MakeBatchSource(Schema schema, std::vector<Batch> batches);
 
-/// \brief Emits pre-converted columnar batches (columnar scan slices,
-/// shuffle input decoded by DeserializeColumnBatch). Row consumers get
-/// ToRowBatch conversions.
+/// \brief Emits pre-built columnar batches.
 OperatorPtr MakeColumnBatchSource(Schema schema,
                                   std::vector<ColumnBatch> batches);
 
-// ---- Row-at-a-time transforms ---------------------------------------
+// ---- Streaming transforms -------------------------------------------
 
-/// \brief Keeps rows where `predicate` is true.
+/// \brief Keeps rows where `predicate` is true: survivors become a
+/// selection vector over the input's storage.
 OperatorPtr MakeFilter(OperatorPtr child, ExprPtr predicate);
 
 /// \brief Computes one output column per (expr, name) pair.
@@ -98,9 +90,10 @@ OperatorPtr MakeLimit(OperatorPtr child, int64_t limit);
 enum class JoinType : int { kInner = 0, kLeftOuter = 1 };
 
 /// \brief Equi-join: builds a hash table on `right`, probes with
-/// `left`. Output schema = left ++ right. NULL keys never match; with
-/// kLeftOuter, unmatched (and NULL-key) left rows are emitted padded
-/// with NULLs.
+/// `left` one batch at a time. Output schema = left ++ right; output
+/// order is probe order, then build order within one probe row's
+/// matches. NULL keys never match; with kLeftOuter, unmatched (and
+/// NULL-key) left rows are emitted padded with NULLs.
 OperatorPtr MakeHashJoin(OperatorPtr left, OperatorPtr right,
                          std::vector<ExprPtr> left_keys,
                          std::vector<ExprPtr> right_keys,
@@ -117,7 +110,9 @@ OperatorPtr MakeMergeJoin(OperatorPtr left, OperatorPtr right,
 
 // ---- Sorting & aggregation ------------------------------------------
 
-/// \brief Full materializing sort (the paper's SortBy / MergeSort).
+/// \brief Full materializing sort (the paper's SortBy / MergeSort):
+/// emits the drained input storage unchanged under a stable permutation
+/// selection vector.
 OperatorPtr MakeSort(OperatorPtr child, std::vector<SortKey> keys);
 
 /// \brief Hash GROUP BY. Output schema: group columns then aggregates.
@@ -127,7 +122,9 @@ OperatorPtr MakeHashAggregate(OperatorPtr child, std::vector<ExprPtr> groups,
                               std::vector<AggSpec> aggs);
 
 /// \brief GROUP BY over input sorted by the group keys (the paper's
-/// StreamedAggregate): O(1) state, emits groups in key order.
+/// StreamedAggregate): one running group, read in place through the
+/// input's selection (e.g. a sort's permutation view); emits groups in
+/// key order. Input that is not sorted yields Status::Internal.
 OperatorPtr MakeStreamedAggregate(OperatorPtr child,
                                   std::vector<ExprPtr> groups,
                                   std::vector<std::string> group_names,
@@ -147,34 +144,27 @@ OperatorPtr MakeWindow(OperatorPtr child, std::vector<ExprPtr> partition_by,
 
 // ---- Helpers --------------------------------------------------------
 
-/// \brief Drains an operator tree into one materialized batch.
-Result<Batch> CollectAll(PhysicalOperator* op);
+/// \brief Narrows `batch` to the logical rows where `predicate` is true
+/// (NULL is false; numeric nonzero and non-empty strings are true) by
+/// composing a selection vector over its storage. `scratch` receives
+/// the evaluated predicate column.
+Status ApplyPredicate(const BoundExpr& predicate, ColumnVector* scratch,
+                      ColumnBatch* batch);
 
-/// \brief Drains an operator tree through the columnar API into one
-/// dense ColumnBatch (columns pre-typed from the output schema, so the
-/// result always conforms for SerializeColumnBatch's fast path).
+/// \brief Drains an operator tree into one dense ColumnBatch (columns
+/// pre-typed from the output schema, so the result always conforms for
+/// SerializeColumnBatch's fast path).
 Result<ColumnBatch> CollectAllColumnar(PhysicalOperator* op);
 
+/// \brief API-edge adapter: CollectAllColumnar boxed into rows.
+Result<Batch> CollectAll(PhysicalOperator* op);
+
 /// \brief Hash-partitions `batch` into `num_partitions` by key columns
-/// (shuffle-write partitioning). NULL keys go to partition 0. Key
-/// expressions are bound once per call; output partitions are reserved
-/// from an exact counting pass.
-Result<std::vector<Batch>> HashPartition(const Batch& batch,
-                                         const std::vector<ExprPtr>& keys,
-                                         int num_partitions);
-
-/// \brief Owned-input overload: rows are moved into the partitions
-/// instead of copied (the shuffle-write path owns its batch).
-Result<std::vector<Batch>> HashPartition(Batch&& batch,
-                                         const std::vector<ExprPtr>& keys,
-                                         int num_partitions);
-
-/// \brief Columnar twin of HashPartition: one vectorized hash pass over
-/// the key columns (KeyEncoder::HashBatchColumns), exact per-partition
-/// counts, then a column-at-a-time scatter into dense output batches.
-/// Same destinations as HashPartition row-for-row (NULL keys go to
-/// partition 0); computed key expressions fall back to row-at-a-time
-/// hashing internally.
+/// (shuffle-write partitioning): one vectorized hash pass over the key
+/// columns (KeyEncoder::HashBatchColumns), exact per-partition counts,
+/// then a column-at-a-time scatter into dense output batches. NULL keys
+/// go to partition 0; computed key expressions are evaluated with
+/// EvaluateVector first.
 Result<std::vector<ColumnBatch>> HashPartitionColumnar(
     const ColumnBatch& batch, const std::vector<ExprPtr>& keys,
     int num_partitions);

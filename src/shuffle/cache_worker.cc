@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -41,6 +42,18 @@ int64_t WatermarkBytes(int64_t budget, double fraction) {
   return static_cast<int64_t>(static_cast<double>(budget) * fraction);
 }
 
+// Swaps the spill directory for a private subdirectory created inside it
+// (see CacheWorkerOptions::spill_dir). If the subdirectory cannot be
+// created, the worker spills into the shared directory as given.
+CacheWorkerOptions WithPrivateSpillDir(CacheWorkerOptions o) {
+  if (o.spill_dir.empty()) return o;
+  std::error_code ec;
+  std::filesystem::create_directories(o.spill_dir, ec);
+  std::string dir = o.spill_dir + "/cw.XXXXXX";
+  if (::mkdtemp(dir.data()) != nullptr) o.spill_dir = std::move(dir);
+  return o;
+}
+
 }  // namespace
 
 std::string ShuffleSlotKey::ToString() const {
@@ -49,16 +62,13 @@ std::string ShuffleSlotKey::ToString() const {
 }
 
 CacheWorker::CacheWorker(CacheWorkerOptions options)
-    : options_(std::move(options)),
+    : options_(WithPrivateSpillDir(options)),
       budget_(options_.memory_budget_bytes),
       soft_bytes_(std::min(WatermarkBytes(budget_, options_.soft_watermark),
                            WatermarkBytes(budget_, options_.hard_watermark))),
       hard_bytes_(WatermarkBytes(budget_, options_.hard_watermark)),
       job_quota_bytes_(WatermarkBytes(budget_, options_.per_job_quota)) {
-  if (!options_.spill_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.spill_dir, ec);
-  }
+  owns_spill_dir_ = options_.spill_dir != options.spill_dir;
   obs::MetricsRegistry* metrics = options_.metrics;
   if (metrics != nullptr) {
     metrics_.puts = metrics->counter("cache.puts");
@@ -98,12 +108,13 @@ CacheWorker::CacheWorker(int64_t memory_budget_bytes, std::string spill_dir,
 
 CacheWorker::~CacheWorker() {
   std::lock_guard<std::mutex> lock(mu_);
+  std::error_code ec;
   for (auto& [key, slot] : slots_) {
     if (slot.spilled && !slot.spill_path.empty()) {
-      std::error_code ec;
       std::filesystem::remove(slot.spill_path, ec);
     }
   }
+  if (owns_spill_dir_) std::filesystem::remove_all(options_.spill_dir, ec);
 }
 
 void CacheWorker::set_fault_injector(FaultInjector* injector) {
@@ -308,18 +319,6 @@ Status CacheWorker::EnsureCapacityLocked(int64_t incoming, JobId job,
   if (mode == AdmitMode::kForced || mode == AdmitMode::kReload) {
     // Forced puts (deadlock guard) and spill reloads (the drain side)
     // always make progress; the overshoot is bounded by one payload.
-    return Status::OK();
-  }
-  if (!options_.admission_gate) {
-    if (options_.spill_dir.empty()) {
-      return Status::ResourceExhausted(
-          StrFormat("cache worker over budget (%lld + %lld > %lld)",
-                    static_cast<long long>(stats_.memory_in_use),
-                    static_cast<long long>(incoming),
-                    static_cast<long long>(budget_)));
-    }
-    // Legacy behavior: a single oversized slot is admitted (it will be
-    // the next spill victim).
     return Status::OK();
   }
   if (lru_.empty() && SpillCapableLocked(incoming)) {

@@ -74,7 +74,10 @@ struct CacheWorkerOptions {
   /// In-memory capacity; the hard watermark is a fraction of this.
   int64_t memory_budget_bytes = 64LL << 20;
   /// Directory for spill files ("" disables spilling: over-budget puts
-  /// then return kBackpressure instead of storing anything).
+  /// then return kBackpressure instead of storing anything). The worker
+  /// spills into a private subdirectory it creates here and removes on
+  /// destruction, so workers sharing one directory never touch each
+  /// other's files; options().spill_dir names that subdirectory.
   std::string spill_dir;
   /// Fraction of the budget at which LRU spill starts running ahead of
   /// demand; resident bytes are pushed back under soft on every Put.
@@ -91,10 +94,6 @@ struct CacheWorkerOptions {
   /// Transient spill write/read IO errors are retried in place this many
   /// times before the error is treated as permanent.
   int spill_io_retries = 3;
-  /// When false, restores the pre-flow-control behavior: over-budget
-  /// puts with spilling disabled fail hard with ResourceExhausted.
-  /// Kept as the bench baseline ("before" in BENCH_PR8.json).
-  bool admission_gate = true;
   /// Spill-time compression: slots at least spill_compress_min_bytes
   /// whose payload is not already a compressed frame go to disk as one
   /// (common/compress.h) when the frame shrinks the payload. The disk
@@ -247,6 +246,7 @@ class CacheWorker {
   CacheWorkerStats stats_;
   int64_t spill_seq_ = 0;
   bool spill_disk_full_ = false;  // latched on (injected) disk exhaustion
+  bool owns_spill_dir_ = false;   // options_.spill_dir is our private dir
   FaultInjector* injector_ = nullptr;  // not owned
 
   // Cached registry handles (nullptr when no registry is installed).

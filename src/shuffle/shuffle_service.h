@@ -29,12 +29,8 @@ struct ShuffleServiceStats {
   int64_t bytes_transferred = 0;
   /// Paper accounting (Sec. III-B): +0 (Direct) / +1 (Remote) / +2
   /// (Local) modeled in-memory copies per write. Stays as bookkeeping —
-  /// the zero-copy plane shares one allocation across those hops.
+  /// the data plane shares one allocation across those hops.
   int64_t modeled_memory_copies = 0;
-  /// Actual deep copies of payload bytes performed by the data plane.
-  /// 0 with Config::zero_copy (the default); the legacy copying plane
-  /// (zero_copy = false) pays one per write and one per read.
-  int64_t payload_copies = 0;
   /// Reader-side Cache Worker replicas created for Local shuffle reads;
   /// each shares the writer-side allocation (no bytes copied).
   int64_t local_replicas = 0;
@@ -103,9 +99,6 @@ class ShuffleService {
     int64_t spill_disk_budget_bytes = 0;
     /// Transient spill IO errors retried in place per operation.
     int spill_io_retries = 3;
-    /// false restores the pre-flow-control hard-failure behavior
-    /// (bench baseline).
-    bool admission_gate = true;
     /// Writer-side flow control: a backpressured put blocks up to
     /// put_wait_ms waiting for readers to drain, retried up to
     /// put_retry_budget times; after that the put is forced through
@@ -121,10 +114,6 @@ class ShuffleService {
     /// Pin shuffle data until RemoveJob instead of freeing on first read
     /// (enables fine-grained failure recovery re-reads).
     bool retain_for_recovery = true;
-    /// Share one immutable allocation across all hops (default). false
-    /// reinstates the legacy deep-copy-per-hop plane, counted in
-    /// ShuffleServiceStats::payload_copies (A/B benchmarks).
-    bool zero_copy = true;
     /// Compressed shuffle plane (DESIGN.md Sec. 17). Barrier edges —
     /// Remote, and Local when not pipelined — whose payload is at least
     /// compress_min_bytes go out as a CompressFrame (common/compress.h)
@@ -252,8 +241,6 @@ class ShuffleService {
   int64_t TaskEndpoint(const ShuffleSlotKey& key, bool writer) const;
   int64_t WorkerEndpoint(int machine) const;
   void Connect(int64_t from, int64_t to, ShuffleKind kind);
-  /// Applies the legacy copying plane to an outgoing read result.
-  Result<ShuffleBuffer> FinishRead(Result<ShuffleBuffer> buffer);
   /// Attributes a successful read's bytes to the per-mode counter.
   Result<ShuffleBuffer> CountRead(ShuffleKind kind,
                                   Result<ShuffleBuffer> buffer);
@@ -306,7 +293,6 @@ class ShuffleService {
     obs::Counter* failover_reads = nullptr;
     obs::Counter* corrupt_payloads = nullptr;
     obs::Counter* machine_failures = nullptr;
-    obs::Counter* payload_copies = nullptr;
     obs::Counter* local_replicas = nullptr;
     obs::Counter* backpressure_waits = nullptr;
     obs::Counter* compressed_writes = nullptr;

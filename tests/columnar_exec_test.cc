@@ -4,10 +4,10 @@
 //  1. Batch <-> ColumnBatch conversion is lossless for every Value shape
 //     the engine can hold — all four types, NULLs, NaN and -0.0, empty
 //     and multi-KB strings — including when columns degrade to kBoxed.
-//  2. Every vectorized kernel agrees with its row-at-a-time twin, using
-//     the row operators as oracles: filter, project, limit, hash
-//     aggregate, hash join, hash partition, and the shuffle serde
-//     (SerializeColumnBatch must emit the row serializer's exact bytes).
+//  2. Every operator agrees with the test-only reference evaluator
+//     (tests/reference_eval.h): filter, project, limit, hash aggregate,
+//     hash join, hash partition; and the columnar shuffle serde emits
+//     the row serializer's exact bytes.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "exec/column_batch.h"
 #include "exec/operators.h"
 #include "exec/serde.h"
+#include "reference_eval.h"
 
 namespace swift {
 namespace {
@@ -118,24 +119,12 @@ Batch RandomUniformBatch(uint64_t seed, bool deviant) {
   return b;
 }
 
-OperatorPtr RowSourceOf(const Batch& b) {
-  std::vector<Batch> batches;
-  batches.push_back(b);
-  return MakeBatchSource(b.schema, std::move(batches));
-}
-
 OperatorPtr ColSourceOf(const Batch& b) {
   Result<ColumnBatch> cb = ToColumnBatch(b);
   EXPECT_TRUE(cb.ok()) << cb.status().ToString();
   std::vector<ColumnBatch> batches;
   batches.push_back(*std::move(cb));
   return MakeColumnBatchSource(b.schema, std::move(batches));
-}
-
-Batch CollectRows(OperatorPtr op) {
-  Result<Batch> r = CollectAll(op.get());
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  return r.ok() ? *std::move(r) : Batch{};
 }
 
 Batch CollectColumnar(OperatorPtr op) {
@@ -239,7 +228,7 @@ TEST(ColumnarEdgeTest, NearMemcpyDecodeProducesTypedColumns) {
   EXPECT_EQ(cb->columns[1].Float64At(99), 49.5);
 }
 
-// ---- Operator parity: row operators are the oracles ------------------
+// ---- Operator parity against the reference evaluator -----------------
 
 Schema Wide() {
   return Schema({{"k", DataType::kInt64},
@@ -274,10 +263,8 @@ TEST_P(OperatorParityTest, FilterParity) {
                    Expr::Literal(Value(int64_t{10}))),
       Expr::Binary(BinaryOp::kLt, Expr::Column("v"),
                    Expr::Literal(Value(-0.5))));
-  Batch want = CollectRows(MakeFilter(RowSourceOf(b), pred));
-  OperatorPtr vec = MakeFilter(ColSourceOf(b), pred);
-  EXPECT_TRUE(vec->columnar());
-  ExpectBatchesBitEq(CollectColumnar(std::move(vec)), want);
+  ExpectBatchesBitEq(CollectColumnar(MakeFilter(ColSourceOf(b), pred)),
+                     ref::Filter(b, pred));
 }
 
 TEST_P(OperatorParityTest, ProjectParity) {
@@ -290,10 +277,9 @@ TEST_P(OperatorParityTest, ProjectParity) {
       Expr::Column("s"),
   };
   std::vector<std::string> names = {"k7", "v2", "s"};
-  Batch want = CollectRows(MakeProject(RowSourceOf(b), exprs, names));
-  OperatorPtr vec = MakeProject(ColSourceOf(b), exprs, names);
-  EXPECT_TRUE(vec->columnar());
-  ExpectBatchesBitEq(CollectColumnar(std::move(vec)), want);
+  ExpectBatchesBitEq(
+      CollectColumnar(MakeProject(ColSourceOf(b), exprs, names)),
+      ref::Project(b, exprs, names));
 }
 
 TEST_P(OperatorParityTest, LimitUnderSelectionIsLogical) {
@@ -302,8 +288,7 @@ TEST_P(OperatorParityTest, LimitUnderSelectionIsLogical) {
   Batch b = RandomWideBatch(GetParam(), 500);
   auto pred = Expr::Binary(BinaryOp::kGt, Expr::Column("k"),
                            Expr::Literal(Value(int64_t{0})));
-  Batch want =
-      CollectRows(MakeLimit(MakeFilter(RowSourceOf(b), pred), 37));
+  Batch want = ref::Limit(ref::Filter(b, pred), 37);
   Batch got =
       CollectColumnar(MakeLimit(MakeFilter(ColSourceOf(b), pred), 37));
   ExpectBatchesBitEq(got, want);
@@ -319,13 +304,9 @@ TEST_P(OperatorParityTest, HashAggregateParity) {
   aggs.push_back({AggKind::kMin, Expr::Column("v"), "min_v"});
   aggs.push_back({AggKind::kMax, Expr::Column("k"), "max_k"});
   aggs.push_back({AggKind::kAvg, Expr::Column("v"), "avg_v"});
-  Batch want = CollectRows(
-      MakeHashAggregate(RowSourceOf(b), groups, names, aggs));
-  // Aggregation materializes, so the root is not columnar, but a
-  // columnar child routes it through the vectorized accumulation path.
-  Batch got = CollectRows(
-      MakeHashAggregate(ColSourceOf(b), groups, names, aggs));
-  ExpectBatchesBitEq(got, want);
+  ExpectBatchesBitEq(
+      CollectColumnar(MakeHashAggregate(ColSourceOf(b), groups, names, aggs)),
+      ref::Aggregate(b, groups, names, aggs));
 }
 
 TEST_P(OperatorParityTest, HashJoinParity) {
@@ -334,11 +315,9 @@ TEST_P(OperatorParityTest, HashJoinParity) {
   for (const JoinType jt : {JoinType::kInner, JoinType::kLeftOuter}) {
     std::vector<ExprPtr> lk = {Expr::Column("k")};
     std::vector<ExprPtr> rk = {Expr::Column("k")};
-    Batch want = CollectRows(MakeHashJoin(RowSourceOf(probe),
-                                          RowSourceOf(build), lk, rk, jt));
-    Batch got = CollectRows(MakeHashJoin(ColSourceOf(probe),
-                                         ColSourceOf(build), lk, rk, jt));
-    ExpectBatchesBitEq(got, want);
+    ExpectBatchesBitEq(CollectColumnar(MakeHashJoin(
+                           ColSourceOf(probe), ColSourceOf(build), lk, rk, jt)),
+                       ref::Join(probe, build, lk, rk, jt));
   }
 }
 
@@ -346,17 +325,15 @@ TEST_P(OperatorParityTest, HashPartitionParity) {
   Batch b = RandomWideBatch(GetParam(), 600);
   std::vector<ExprPtr> keys = {Expr::Column("k"), Expr::Column("s")};
   const int nparts = 7;
-  Result<std::vector<Batch>> want = HashPartition(b, keys, nparts);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  const std::vector<Batch> want = ref::Partition(b, keys, nparts);
   Result<ColumnBatch> cb = ToColumnBatch(b);
   ASSERT_TRUE(cb.ok());
   Result<std::vector<ColumnBatch>> got =
       HashPartitionColumnar(*cb, keys, nparts);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), want->size());
-  for (int p = 0; p < nparts; ++p) {
-    ExpectBatchesBitEq(ToRowBatch((*got)[static_cast<std::size_t>(p)]),
-                       (*want)[static_cast<std::size_t>(p)]);
+  ASSERT_EQ(got->size(), want.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ExpectBatchesBitEq(ToRowBatch((*got)[p]), want[p]);
   }
 }
 
@@ -366,22 +343,20 @@ TEST_P(OperatorParityTest, FilteredPartitionParity) {
   Batch b = RandomWideBatch(GetParam(), 600);
   auto pred = Expr::Binary(BinaryOp::kGe, Expr::Column("k"),
                            Expr::Literal(Value(int64_t{0})));
-  Batch wantrows = CollectRows(MakeFilter(RowSourceOf(b), pred));
   std::vector<ExprPtr> keys = {Expr::Column("k")};
-  Result<std::vector<Batch>> want = HashPartition(wantrows, keys, 5);
-  ASSERT_TRUE(want.ok());
+  const std::vector<Batch> want = ref::Partition(ref::Filter(b, pred), keys, 5);
   OperatorPtr vec = MakeFilter(ColSourceOf(b), pred);
   ASSERT_TRUE(vec->Open().ok());
-  Result<std::optional<ColumnBatch>> filtered = vec->NextColumnar();
+  Result<std::optional<ColumnBatch>> filtered = vec->Next();
   ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
   ASSERT_TRUE(filtered->has_value());
   ASSERT_TRUE((*filtered)->selection.has_value());  // no row copies made
   Result<std::vector<ColumnBatch>> got =
       HashPartitionColumnar(**filtered, keys, 5);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), want->size());
-  for (std::size_t p = 0; p < want->size(); ++p) {
-    ExpectBatchesBitEq(ToRowBatch((*got)[p]), (*want)[p]);
+  ASSERT_EQ(got->size(), want.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    ExpectBatchesBitEq(ToRowBatch((*got)[p]), want[p]);
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/compress.h"
 #include "exec/serde.h"
@@ -172,6 +173,67 @@ TEST_F(SpillCompressionTest, SpillCompressionOffStoresRaw) {
   auto r = cw.Peek(Key(0, 0));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->view(), payload);
+}
+
+TEST_F(SpillCompressionTest, ServiceWorkerStatsSumEveryWorkerField) {
+  // A spilling, compressed run over a 2-machine service: Remote writes
+  // ship as compressed frames, pipelined Local writes ship raw and
+  // compress on spill. The service-wide view must be the field-by-field
+  // sum of the per-worker counters.
+  ShuffleService::Config cfg;
+  cfg.machines = 2;
+  cfg.cache_memory_per_worker = 96 * 1024;
+  cfg.spill_root = dir_.string();
+  cfg.retain_for_recovery = false;
+  ShuffleService svc(cfg);
+  const std::string payload = CompressiblePayload();
+  for (int t = 0; t < 8; ++t) {
+    ASSERT_TRUE(svc.WritePartition(ShuffleKind::kRemote, Key(t, 0), payload,
+                                   t % 2, /*pipelined=*/false)
+                    .ok());
+    ASSERT_TRUE(svc.WritePartition(ShuffleKind::kLocal, Key(t, 1), payload,
+                                   t % 2, /*pipelined=*/true)
+                    .ok());
+  }
+  const CacheWorkerStats total = svc.worker_stats();
+  EXPECT_GT(total.spilled_slots, 0);
+  EXPECT_GT(total.spill_compressed_slots, 0);
+  EXPECT_GT(total.spill_stored_bytes, 0);
+
+  CacheWorkerStats sum;
+  const std::vector<int64_t CacheWorkerStats::*> fields = {
+      &CacheWorkerStats::puts,
+      &CacheWorkerStats::gets,
+      &CacheWorkerStats::bytes_written,
+      &CacheWorkerStats::bytes_read,
+      &CacheWorkerStats::spilled_slots,
+      &CacheWorkerStats::spilled_bytes,
+      &CacheWorkerStats::reloads,
+      &CacheWorkerStats::deletions,
+      &CacheWorkerStats::memory_in_use,
+      &CacheWorkerStats::peak_memory_in_use,
+      &CacheWorkerStats::spill_disk_in_use,
+      &CacheWorkerStats::bytes_consumed,
+      &CacheWorkerStats::bytes_evicted_unconsumed,
+      &CacheWorkerStats::backpressure_rejections,
+      &CacheWorkerStats::bytes_rejected,
+      &CacheWorkerStats::forced_admits,
+      &CacheWorkerStats::quota_evictions,
+      &CacheWorkerStats::spill_io_errors,
+      &CacheWorkerStats::spill_io_retries,
+      &CacheWorkerStats::spill_lost_slots,
+      &CacheWorkerStats::spill_compressed_slots,
+      &CacheWorkerStats::spill_stored_bytes,
+  };
+  // Every counter of the struct is listed above.
+  EXPECT_EQ(fields.size() * sizeof(int64_t), sizeof(CacheWorkerStats));
+  for (int m = 0; m < svc.machines(); ++m) {
+    const CacheWorkerStats w = svc.worker(m)->stats();
+    for (const auto f : fields) sum.*f += w.*f;
+  }
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(total.*fields[i], sum.*fields[i]) << "field " << i;
+  }
 }
 
 TEST(ReplicaPlacementTest, LoadAwarePicksLeastLoadedWorker) {

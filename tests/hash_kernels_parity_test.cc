@@ -1,174 +1,24 @@
 // Randomized parity property test: the flat-table hash kernels
-// (HashJoinOp / HashAggregateOp / HashPartition) against the legacy
-// node-based row-map implementations they replaced, kept verbatim here
-// as the oracle. Inputs mix int64 / float64 / string keys with NULLs,
-// duplicate keys, cross-numeric-type equal keys (3 vs 3.0), and
-// collision-adversarial strided keys. Runs under the asan/ubsan presets
-// like every other test.
+// (HashJoinOp / HashAggregateOp / HashPartitionColumnar) against the
+// test-only reference evaluator (tests/reference_eval.h: nested-loop
+// join, linear first-seen group list, per-row key hashing). Inputs mix
+// int64 / float64 / string keys with NULLs, duplicate keys,
+// cross-numeric-type equal keys (3 vs 3.0), and collision-adversarial
+// strided keys. Runs under the asan/ubsan presets like every other
+// test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
-#include "exec/bound_expr.h"
 #include "exec/operators.h"
+#include "reference_eval.h"
 
 namespace swift {
 namespace {
-
-// ---- Legacy oracle: the pre-flat-table row-map kernels ---------------
-
-struct LegacyRowHash {
-  std::size_t operator()(const Row& r) const { return HashRow(r); }
-};
-struct LegacyRowEq {
-  bool operator()(const Row& a, const Row& b) const {
-    if (a.size() != b.size()) return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].Compare(b[i]) != 0) return false;
-    }
-    return true;
-  }
-};
-
-bool KeyHasNull(const Row& k) {
-  for (const Value& v : k) {
-    if (v.is_null()) return true;
-  }
-  return false;
-}
-
-Row EvalKeyRow(const std::vector<BoundExprPtr>& keys, const Row& row) {
-  Row k;
-  k.reserve(keys.size());
-  for (const BoundExprPtr& e : keys) k.push_back(*e->Evaluate(row));
-  return k;
-}
-
-// The old HashJoinOp::Open body: unordered_multimap build + probe.
-std::vector<Row> LegacyHashJoin(const Batch& left, const Batch& right,
-                                const std::vector<ExprPtr>& left_keys,
-                                const std::vector<ExprPtr>& right_keys,
-                                JoinType join_type) {
-  auto bound_left = *BindAll(left_keys, left.schema);
-  auto bound_right = *BindAll(right_keys, right.schema);
-  std::unordered_multimap<Row, Row, LegacyRowHash, LegacyRowEq> build;
-  for (const Row& r : right.rows) {
-    Row key = EvalKeyRow(bound_right, r);
-    if (KeyHasNull(key)) continue;
-    build.emplace(std::move(key), r);
-  }
-  const std::size_t right_width = right.schema.num_fields();
-  std::vector<Row> out;
-  for (const Row& l : left.rows) {
-    Row key = EvalKeyRow(bound_left, l);
-    bool matched = false;
-    if (!KeyHasNull(key)) {
-      auto [lo, hi] = build.equal_range(key);
-      for (auto it = lo; it != hi; ++it) {
-        Row o = l;
-        o.insert(o.end(), it->second.begin(), it->second.end());
-        out.push_back(std::move(o));
-        matched = true;
-      }
-    }
-    if (!matched && join_type == JoinType::kLeftOuter) {
-      Row o = l;
-      o.resize(o.size() + right_width, Value::Null());
-      out.push_back(std::move(o));
-    }
-  }
-  return out;
-}
-
-// The old HashAggregateOp state machine, verbatim.
-struct LegacyAggState {
-  double sum = 0.0;
-  int64_t count = 0;
-  bool all_int = true;
-  Value min;
-  Value max;
-
-  void Update(AggKind kind, const Value& v) {
-    if (kind == AggKind::kCount) {
-      ++count;
-      return;
-    }
-    if (v.is_null()) return;
-    ++count;
-    if (v.is_numeric()) {
-      sum += v.AsDouble();
-      if (!v.is_int64()) all_int = false;
-    } else {
-      all_int = false;
-    }
-    if (min.is_null() || v.Compare(min) < 0) min = v;
-    if (max.is_null() || v.Compare(max) > 0) max = v;
-  }
-
-  Value Finish(AggKind kind) const {
-    switch (kind) {
-      case AggKind::kCount:
-        return Value(count);
-      case AggKind::kSum:
-        if (count == 0) return Value::Null();
-        return all_int ? Value(static_cast<int64_t>(sum)) : Value(sum);
-      case AggKind::kMin:
-        return min;
-      case AggKind::kMax:
-        return max;
-      case AggKind::kAvg:
-        if (count == 0) return Value::Null();
-        return Value(sum / static_cast<double>(count));
-    }
-    return Value::Null();
-  }
-};
-
-// The old HashAggregateOp::Open body: Row-keyed unordered_map +
-// first-seen key order.
-std::vector<Row> LegacyHashAggregate(const Batch& in,
-                                     const std::vector<ExprPtr>& groups,
-                                     const std::vector<AggSpec>& aggs) {
-  auto bound_groups = *BindAll(groups, in.schema);
-  std::vector<BoundExprPtr> bound_args;
-  for (const AggSpec& a : aggs) {
-    bound_args.push_back(a.arg == nullptr ? nullptr
-                                          : *Bind(a.arg, in.schema));
-  }
-  std::unordered_map<Row, std::vector<LegacyAggState>, LegacyRowHash,
-                     LegacyRowEq>
-      table;
-  std::vector<Row> key_order;
-  for (const Row& r : in.rows) {
-    Row key = EvalKeyRow(bound_groups, r);
-    auto it = table.find(key);
-    if (it == table.end()) {
-      it = table.emplace(key, std::vector<LegacyAggState>(aggs.size())).first;
-      key_order.push_back(key);
-    }
-    for (std::size_t a = 0; a < aggs.size(); ++a) {
-      Value v = bound_args[a] == nullptr ? Value(int64_t{1})
-                                         : *bound_args[a]->Evaluate(r);
-      if (aggs[a].kind == AggKind::kCount && v.is_null()) continue;
-      it->second[a].Update(aggs[a].kind, v);
-    }
-  }
-  std::vector<Row> out;
-  for (const Row& key : key_order) {
-    const auto& states = table[key];
-    Row o = key;
-    for (std::size_t a = 0; a < aggs.size(); ++a) {
-      o.push_back(states[a].Finish(aggs[a].kind));
-    }
-    out.push_back(std::move(o));
-  }
-  return out;
-}
 
 // ---- Row multiset comparison ----------------------------------------
 
@@ -268,9 +118,24 @@ Batch RunOperator(OperatorPtr op) {
   return *out;
 }
 
+// Exact, order-sensitive comparison with type-tagged cells.
+void ExpectRowsEqual(const std::vector<Row>& got, const std::vector<Row>& want,
+                     int trial) {
+  ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size());
+    for (std::size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_EQ(CellKey(got[i][j]), CellKey(want[i][j]))
+          << "trial " << trial << " row " << i << " col " << j;
+    }
+  }
+}
+
 // ---- Properties ------------------------------------------------------
 
 TEST(HashKernelsParityTest, JoinMatchesLegacyRowMap) {
+  // The reference is a nested-loop join, so output order is pinned too:
+  // probe rows in order, each probe row's matches in build order.
   Rng rng(0xA11CE5EEDULL);
   for (int trial = 0; trial < 30; ++trial) {
     const int key_cols = 1 + static_cast<int>(rng.UniformInt(0, 1));
@@ -282,18 +147,15 @@ TEST(HashKernelsParityTest, JoinMatchesLegacyRowMap) {
                               key_cols, 1);
     const std::vector<ExprPtr> keys = KeyExprs(key_cols);
 
-    std::vector<Row> expect = LegacyHashJoin(left, right, keys, keys, jt);
+    const Batch expect = ref::Join(left, right, keys, keys, jt);
     Batch got = RunOperator(MakeHashJoin(
         MakeBatchSource(left.schema, {left}),
         MakeBatchSource(right.schema, {right}), keys, keys, jt));
 
-    EXPECT_EQ(RowMultiset(got.rows), RowMultiset(expect))
+    EXPECT_EQ(RowMultiset(got.rows), RowMultiset(expect.rows))
         << "trial " << trial << " join_type "
         << (jt == JoinType::kInner ? "inner" : "left_outer");
-    // Probe-side order is preserved exactly for unique-match joins; at
-    // minimum the row counts must agree even when duplicate-match
-    // emission order differs.
-    EXPECT_EQ(got.rows.size(), expect.size());
+    ExpectRowsEqual(got.rows, expect.rows, trial);
   }
 }
 
@@ -315,21 +177,14 @@ TEST(HashKernelsParityTest, AggregateMatchesLegacyRowMapExactly) {
         AggSpec{AggKind::kAvg, Expr::Column("p0"), "avg"},
     };
 
-    std::vector<Row> expect = LegacyHashAggregate(in, groups, aggs);
+    const Batch expect = ref::Aggregate(in, groups, names, aggs);
     Batch got = RunOperator(MakeHashAggregate(
         MakeBatchSource(in.schema, {in}), groups, names, aggs));
 
     // Both sides update per-group state in input row order, so the sums
     // are bit-identical, and both emit groups in first-seen order — the
     // comparison is exact, not just multiset.
-    ASSERT_EQ(got.rows.size(), expect.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      ASSERT_EQ(got.rows[i].size(), expect[i].size());
-      for (std::size_t j = 0; j < expect[i].size(); ++j) {
-        EXPECT_EQ(CellKey(got.rows[i][j]), CellKey(expect[i][j]))
-            << "trial " << trial << " row " << i << " col " << j;
-      }
-    }
+    ExpectRowsEqual(got.rows, expect.rows, trial);
   }
 }
 
@@ -342,39 +197,38 @@ TEST(HashKernelsParityTest, PartitionPreservesRowsAndRoutesNullsToZero) {
                            key_cols, 1);
     const std::vector<ExprPtr> keys = KeyExprs(key_cols);
 
-    auto parts = HashPartition(in, keys, n);
+    auto cb = ToColumnBatch(in);
+    ASSERT_TRUE(cb.ok());
+    auto parts = HashPartitionColumnar(*cb, keys, n);
     ASSERT_TRUE(parts.ok());
     // Row conservation: partitions are a permutation of the input.
     std::vector<Row> all;
-    for (const Batch& p : *parts) {
-      all.insert(all.end(), p.rows.begin(), p.rows.end());
+    for (const ColumnBatch& p : *parts) {
+      const Batch rows = ToRowBatch(p);
+      all.insert(all.end(), rows.rows.begin(), rows.rows.end());
     }
     EXPECT_EQ(RowMultiset(all), RowMultiset(in.rows)) << "trial " << trial;
 
-    // NULL-keyed rows all land in partition 0; equal keys land together.
-    auto bound = *BindAll(keys, in.schema);
+    // Every row goes where its scalar key hash sends it (NULL-keyed rows
+    // to partition 0), in input order.
+    const std::vector<Batch> expect = ref::Partition(in, keys, n);
     for (int p = 0; p < n; ++p) {
-      for (const Row& r : (*parts)[p].rows) {
-        Row key = EvalKeyRow(bound, r);
-        if (KeyHasNull(key)) {
-          EXPECT_EQ(p, 0) << "NULL key escaped partition 0";
+      const std::size_t pi = static_cast<std::size_t>(p);
+      ExpectRowsEqual(ToRowBatch((*parts)[pi]).rows, expect[pi].rows, trial);
+      if (p == 0) continue;
+      for (const Row& r : expect[pi].rows) {
+        for (int c = 0; c < key_cols; ++c) {
+          EXPECT_FALSE(r[static_cast<std::size_t>(c)].is_null())
+              << "NULL key escaped partition 0";
         }
       }
-    }
-    // Determinism + equal-key co-location across both overloads: every
-    // row with the same encoded key goes to the same partition.
-    Batch copy = in;
-    auto parts2 = HashPartition(std::move(copy), keys, n);
-    ASSERT_TRUE(parts2.ok());
-    for (int p = 0; p < n; ++p) {
-      EXPECT_EQ(RowMultiset((*parts)[p].rows), RowMultiset((*parts2)[p].rows));
     }
   }
 }
 
 // Cross-numeric-type keys: rows keyed 3 (int64) and 3.0 (float64) must
 // join with each other and aggregate into one group, exactly like the
-// legacy Compare()-based maps.
+// Compare()-based reference.
 TEST(HashKernelsParityTest, CrossNumericTypeKeysShareOneGroup) {
   Batch in;
   in.schema = Schema({{"k0", DataType::kNull}, {"p0", DataType::kInt64}});
@@ -386,21 +240,20 @@ TEST(HashKernelsParityTest, CrossNumericTypeKeysShareOneGroup) {
   const std::vector<ExprPtr> keys = {Expr::Column("k0")};
 
   std::vector<AggSpec> aggs = {AggSpec{AggKind::kSum, Expr::Column("p0"), "s"}};
-  std::vector<Row> expect = LegacyHashAggregate(in, keys, aggs);
+  const Batch expect = ref::Aggregate(in, keys, {"k0"}, aggs);
   Batch got = RunOperator(
       MakeHashAggregate(MakeBatchSource(in.schema, {in}), keys, {"k0"}, aggs));
   ASSERT_EQ(got.rows.size(), 2u);
-  EXPECT_EQ(RowMultiset(got.rows), RowMultiset(expect));
+  EXPECT_EQ(RowMultiset(got.rows), RowMultiset(expect.rows));
   EXPECT_EQ(got.rows[0][1].int64(), 111);  // 3-group, first seen
   EXPECT_EQ(got.rows[1][1].int64(), 77);   // 0-group
 
   Batch joined = RunOperator(MakeHashJoin(MakeBatchSource(in.schema, {in}),
                                           MakeBatchSource(in.schema, {in}),
                                           keys, keys, JoinType::kInner));
-  std::vector<Row> jexpect = LegacyHashJoin(in, in, keys, keys,
-                                            JoinType::kInner);
+  const Batch jexpect = ref::Join(in, in, keys, keys, JoinType::kInner);
   EXPECT_EQ(joined.rows.size(), 13u);  // 3x3 for the 3-group + 2x2 for 0
-  EXPECT_EQ(RowMultiset(joined.rows), RowMultiset(jexpect));
+  EXPECT_EQ(RowMultiset(joined.rows), RowMultiset(jexpect.rows));
 }
 
 }  // namespace

@@ -359,15 +359,16 @@ Batch IntKeyBatch(const std::vector<int64_t>& keys) {
 
 void ExpectUniformSpread(const Batch& batch, int num_partitions) {
   const std::vector<ExprPtr> keys = {Expr::Column("k")};
-  auto parts = HashPartition(batch, keys, num_partitions);
+  auto parts = HashPartitionColumnar(*ToColumnBatch(batch), keys,
+                                     num_partitions);
   ASSERT_TRUE(parts.ok());
   ASSERT_EQ(parts->size(), static_cast<std::size_t>(num_partitions));
   std::size_t total = 0;
   const double expect =
       static_cast<double>(batch.rows.size()) / num_partitions;
   for (int p = 0; p < num_partitions; ++p) {
-    total += (*parts)[p].rows.size();
-    EXPECT_NEAR((*parts)[p].rows.size(), expect, 0.2 * expect)
+    total += (*parts)[p].num_rows();
+    EXPECT_NEAR((*parts)[p].num_rows(), expect, 0.2 * expect)
         << "partition " << p << " of " << num_partitions;
   }
   EXPECT_EQ(total, batch.rows.size());
@@ -408,42 +409,55 @@ TEST(HashPartitionSkewTest, LegacyIdentityHashStripesOnStridedKeys) {
 }
 
 TEST(HashPartitionSkewTest, OverloadsAgreeAndNullsGoToPartitionZero) {
+  // The two input forms the shuffle writer sees — a dense batch and the
+  // same rows as a selection view over a wider batch (a filter's
+  // output) — must partition identically.
   Batch b;
   b.schema = Schema({{"k", DataType::kInt64}, {"v", DataType::kString}});
+  Batch wide;
+  wide.schema = b.schema;
+  std::vector<uint32_t> sel;
   for (int i = 0; i < 500; ++i) {
-    b.rows.push_back({i % 10 == 0 ? Value::Null()
-                                  : Value(static_cast<int64_t>(i * 16)),
-                      Value("v" + std::to_string(i))});
+    Row row = {i % 10 == 0 ? Value::Null()
+                           : Value(static_cast<int64_t>(i * 16)),
+               Value("v" + std::to_string(i))};
+    b.rows.push_back(row);
+    sel.push_back(static_cast<uint32_t>(wide.rows.size()));
+    wide.rows.push_back(std::move(row));
+    wide.rows.push_back({Value(int64_t{-1}), Value("dropped")});
   }
   const std::vector<ExprPtr> keys = {Expr::Column("k")};
-  auto borrowed = HashPartition(b, keys, 7);
-  ASSERT_TRUE(borrowed.ok());
-  Batch moved_in = b;  // copy, then move into the owned overload
-  auto owned = HashPartition(std::move(moved_in), keys, 7);
-  ASSERT_TRUE(owned.ok());
+  auto dense = HashPartitionColumnar(*ToColumnBatch(b), keys, 7);
+  ASSERT_TRUE(dense.ok());
+  ColumnBatch view = *ToColumnBatch(wide);
+  view.selection = std::move(sel);
+  auto selected = HashPartitionColumnar(view, keys, 7);
+  ASSERT_TRUE(selected.ok());
+  std::vector<Batch> parts;
   for (int p = 0; p < 7; ++p) {
-    ASSERT_EQ((*borrowed)[p].rows.size(), (*owned)[p].rows.size()) << p;
-    for (std::size_t i = 0; i < (*borrowed)[p].rows.size(); ++i) {
-      const Row& a = (*borrowed)[p].rows[i];
-      const Row& c = (*owned)[p].rows[i];
-      ASSERT_EQ(a.size(), c.size());
-      for (std::size_t j = 0; j < a.size(); ++j) {
-        if (a[j].is_null()) {
-          ASSERT_TRUE(c[j].is_null());
+    const Batch a = ToRowBatch((*dense)[p]);
+    const Batch c = ToRowBatch((*selected)[p]);
+    ASSERT_EQ(a.rows.size(), c.rows.size()) << p;
+    for (std::size_t i = 0; i < a.rows.size(); ++i) {
+      ASSERT_EQ(a.rows[i].size(), c.rows[i].size());
+      for (std::size_t j = 0; j < a.rows[i].size(); ++j) {
+        if (a.rows[i][j].is_null()) {
+          ASSERT_TRUE(c.rows[i][j].is_null());
         } else {
-          ASSERT_EQ(a[j].Compare(c[j]), 0);
+          ASSERT_EQ(a.rows[i][j].Compare(c.rows[i][j]), 0);
         }
       }
     }
+    parts.push_back(a);
   }
   // Every NULL-keyed row landed in partition 0.
   std::size_t nulls_in_p0 = 0;
-  for (const Row& r : (*borrowed)[0].rows) {
+  for (const Row& r : parts[0].rows) {
     if (r[0].is_null()) ++nulls_in_p0;
   }
   EXPECT_EQ(nulls_in_p0, 50u);
   for (int p = 1; p < 7; ++p) {
-    for (const Row& r : (*borrowed)[p].rows) {
+    for (const Row& r : parts[p].rows) {
       EXPECT_FALSE(r[0].is_null());
     }
   }

@@ -4,17 +4,17 @@
 //  1. Morselized sources split task input into <= morsel_rows batches
 //     with no row lost, duplicated, or reordered — including empty,
 //     1-row, and ragged-tail inputs, and selection vectors that
-//     straddle morsel boundaries.
+//     straddle morsel boundaries; a ragged table row fails the scan.
 //  2. Operators stay correct across morsel boundaries: LimitOp counts
 //     logical rows, filters compose selections per morsel.
-//  3. The parallel morsel pipeline is byte-identical to serial row
-//     execution in ordered mode (randomized parity, real thread pool),
+//  3. The parallel morsel pipeline is byte-identical to the reference
+//     evaluator in ordered mode (randomized parity, real thread pool),
 //     row-multiset-identical in unordered mode, and surfaces source and
 //     step errors exactly where serial execution would.
-//  4. The native columnar Sort / Window / MergeJoin builds agree with
-//     their row-at-a-time twins (NULLs, strings, duplicates, descending
-//     keys, left-outer padding) and SortOp emits a permutation
-//     selection instead of gathering.
+//  4. Sort / Window / MergeJoin agree with the test-only reference
+//     evaluator (NULLs, strings, duplicates, descending keys, left-outer
+//     padding) and SortOp emits a permutation selection instead of
+//     gathering.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +32,7 @@
 #include "exec/morsel.h"
 #include "exec/operators.h"
 #include "exec/table.h"
+#include "reference_eval.h"
 
 namespace swift {
 namespace {
@@ -76,7 +77,7 @@ Result<std::vector<Row>> DrainColumnarRows(PhysicalOperator* op,
                                            std::vector<std::size_t>* sizes) {
   std::vector<Row> rows;
   for (;;) {
-    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> cb, op->NextColumnar());
+    SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> cb, op->Next());
     if (!cb.has_value()) break;
     if (sizes != nullptr) sizes->push_back(cb->num_rows());
     Batch b = ToRowBatch(*cb);
@@ -145,7 +146,6 @@ TEST(TableMorselSourceTest, SplitsSliceIntoBoundedMorsels) {
   for (int task = 0; task < 2; ++task) {
     auto src = MakeTableMorselSource(table, task, 2, table->schema, 4);
     ASSERT_TRUE(src->Open().ok());
-    EXPECT_TRUE(src->columnar());
     std::vector<std::size_t> sizes;
     auto rows = DrainColumnarRows(src.get(), &sizes);
     ASSERT_TRUE(rows.ok());
@@ -189,19 +189,23 @@ TEST(TableMorselSourceTest, EmptySingleRowAndOversubscribedTasks) {
   }
 }
 
-TEST(TableMorselSourceTest, RowFallbackMatchesTaskSlice) {
+TEST(TableMorselSourceTest, RaggedRowFailsNamingTableAndRow) {
+  // Row 6 is one cell short. The first morsel (rows 0-3) is fine; the
+  // pull that reaches row 6 fails naming the table and the row.
   auto table = MakeTable(11);
+  table->rows[6].pop_back();
   auto src = MakeTableMorselSource(table, 0, 1, table->schema, 4);
   ASSERT_TRUE(src->Open().ok());
-  std::vector<Row> rows;
-  for (;;) {
-    auto b = src->Next();
-    ASSERT_TRUE(b.ok());
-    if (!b->has_value()) break;
-    EXPECT_LE((*b)->num_rows(), 4u);
-    for (Row& r : (*b)->rows) rows.push_back(std::move(r));
-  }
-  ExpectRowsBitEq(rows, table->rows);
+  auto first = src->Next();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ((*first)->num_rows(), 4u);
+  auto second = src->Next();
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(second.status().message().find("table t: row 6"),
+            std::string::npos)
+      << second.status().ToString();
 }
 
 TEST(MorselSourceTest, RaggedTailsAndWholeBatchMoves) {
@@ -269,7 +273,6 @@ TEST(MorselBoundaryTest, LimitCountsLogicalRowsAcrossMorsels) {
   auto op = MakeLimit(
       MakeFilter(MakeMorselSource(b.schema, std::move(batches), 4), pred), 7);
   ASSERT_TRUE(op->Open().ok());
-  ASSERT_TRUE(op->columnar());
   auto rows = DrainColumnarRows(op.get(), nullptr);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 7u);
@@ -298,17 +301,12 @@ std::vector<MorselStep> FilterProjectSteps() {
   return steps;
 }
 
-// Row-operator oracle for FilterProjectSteps over `b`.
+// Reference result of FilterProjectSteps over `b`.
 std::vector<Row> RowOracle(const Batch& b) {
   std::vector<MorselStep> steps = FilterProjectSteps();
-  std::vector<Batch> in;
-  in.push_back(b);
-  OperatorPtr op = MakeBatchSource(b.schema, std::move(in));
-  op = MakeFilter(std::move(op), steps[0].predicate);
-  op = MakeProject(std::move(op), steps[1].exprs, steps[1].names);
-  auto out = CollectAll(op.get());
-  EXPECT_TRUE(out.ok());
-  return out->rows;
+  return ref::Project(ref::Filter(b, steps[0].predicate), steps[1].exprs,
+                      steps[1].names)
+      .rows;
 }
 
 OperatorPtr MorselizedInput(const Batch& b, std::size_t morsel_rows) {
@@ -329,7 +327,6 @@ TEST(ParallelMorselPipelineTest, OrderedParityAcrossSeedsAndLanes) {
           MorselizedInput(b, 13), FilterProjectSteps(),
           lanes > 1 ? &pool : nullptr, lanes, MorselMerge::kOrdered);
       ASSERT_TRUE(op->Open().ok());
-      EXPECT_TRUE(op->columnar());
       auto rows = DrainColumnarRows(op.get(), nullptr);
       ASSERT_TRUE(rows.ok());
       ExpectRowsBitEq(*rows, want);
@@ -393,8 +390,7 @@ class FailingSource final : public PhysicalOperator {
     output_schema_ = std::move(schema);
   }
   Status Open() override { return Status::OK(); }
-  bool columnar() const override { return true; }
-  Result<std::optional<ColumnBatch>> NextColumnar() override {
+  Result<std::optional<ColumnBatch>> Next() override {
     if (emitted_ >= good_) return Status::Internal("source failed mid-stream");
     ColumnBatch cb;
     cb.schema = output_schema_;
@@ -406,10 +402,6 @@ class FailingSource final : public PhysicalOperator {
     ++emitted_;
     return std::optional<ColumnBatch>(std::move(cb));
   }
-  Result<std::optional<Batch>> Next() override {
-    return Status::Internal("row path unused");
-  }
-
  private:
   int good_;
   int64_t emitted_ = 0;
@@ -434,7 +426,7 @@ TEST(ParallelMorselPipelineTest, SourceErrorSurfacesAfterPriorMorsels) {
     std::vector<Row> rows;
     Status err = Status::OK();
     for (;;) {
-      auto cb = op->NextColumnar();
+      auto cb = op->Next();
       if (!cb.ok()) {
         err = cb.status();
         break;
@@ -460,7 +452,7 @@ TEST(ParallelMorselPipelineTest, DestructionMidStreamDoesNotHang) {
                                        FilterProjectSteps(), &pool, 4,
                                        MorselMerge::kOrdered);
   ASSERT_TRUE(op->Open().ok());
-  auto first = op->NextColumnar();
+  auto first = op->Next();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first->has_value());
   op.reset();  // helpers still queued/running must exit via the stop flag
@@ -476,33 +468,23 @@ OperatorPtr ColSrcOf(const Batch& b) {
   return MakeColumnBatchSource(b.schema, std::move(v));
 }
 
-OperatorPtr RowSrcOf(const Batch& b) {
-  std::vector<Batch> v;
-  v.push_back(b);
-  return MakeBatchSource(b.schema, std::move(v));
-}
-
 TEST(ColumnarMaterializedOpsTest, SortParityAndSelectionOutput) {
   for (uint64_t seed : {11u, 22u, 33u}) {
     const Batch b = RandomBatch(seed, 500);
     std::vector<SortKey> keys;
     keys.push_back({Expr::Column("s"), true});
     keys.push_back({Expr::Column("k"), false});  // descending, with NULLs
-    auto row_op = MakeSort(RowSrcOf(b), keys);
-    auto want = CollectAll(row_op.get());
-    ASSERT_TRUE(want.ok());
-
+    const Batch want = ref::Sort(b, keys);
     auto col_op = MakeSort(ColSrcOf(b), keys);
     ASSERT_TRUE(col_op->Open().ok());
-    EXPECT_TRUE(col_op->columnar());
-    auto cb = col_op->NextColumnar();
+    auto cb = col_op->Next();
     ASSERT_TRUE(cb.ok());
     ASSERT_TRUE(cb->has_value());
     // The columnar sort emits a permutation selection over the input
     // storage — zero gather until a consumer needs density.
     EXPECT_TRUE((*cb)->selection.has_value());
-    ExpectRowsBitEq(ToRowBatch(**cb).rows, want->rows);
-    auto end = col_op->NextColumnar();
+    ExpectRowsBitEq(ToRowBatch(**cb).rows, want.rows);
+    auto end = col_op->Next();
     ASSERT_TRUE(end.ok());
     EXPECT_FALSE(end->has_value());
   }
@@ -516,16 +498,12 @@ TEST(ColumnarMaterializedOpsTest, WindowParityAllFuncs) {
     std::vector<SortKey> order;
     order.push_back({Expr::Column("k"), true});
     ExprPtr arg = func == WindowFunc::kSum ? Expr::Column("v") : nullptr;
-    auto row_op = MakeWindow(RowSrcOf(b), part, order, func, arg, "w");
-    auto want = CollectAll(row_op.get());
-    ASSERT_TRUE(want.ok());
-
+    const Batch want = ref::Window(b, part, order, func, arg, "w");
     auto col_op = MakeWindow(ColSrcOf(b), part, order, func, arg, "w");
     ASSERT_TRUE(col_op->Open().ok());
-    EXPECT_TRUE(col_op->columnar());
     auto got = CollectAllColumnar(col_op.get());
     ASSERT_TRUE(got.ok());
-    ExpectRowsBitEq(ToRowBatch(*got).rows, want->rows);
+    ExpectRowsBitEq(ToRowBatch(*got).rows, want.rows);
   }
 }
 
@@ -548,16 +526,12 @@ TEST(ColumnarMaterializedOpsTest, MergeJoinParityInnerAndLeftOuter) {
   std::vector<ExprPtr> lk = {Expr::Column("k")};
   std::vector<ExprPtr> rk = {Expr::Column("k")};
   for (auto jt : {JoinType::kInner, JoinType::kLeftOuter}) {
-    auto row_op = MakeMergeJoin(RowSrcOf(left), RowSrcOf(right), lk, rk, jt);
-    auto want = CollectAll(row_op.get());
-    ASSERT_TRUE(want.ok());
-
+    const Batch want = ref::Join(left, right, lk, rk, jt);
     auto col_op = MakeMergeJoin(ColSrcOf(left), ColSrcOf(right), lk, rk, jt);
     ASSERT_TRUE(col_op->Open().ok());
-    EXPECT_TRUE(col_op->columnar());
     auto got = CollectAllColumnar(col_op.get());
     ASSERT_TRUE(got.ok());
-    ExpectRowsBitEq(ToRowBatch(*got).rows, want->rows);
+    ExpectRowsBitEq(ToRowBatch(*got).rows, want.rows);
   }
 }
 
@@ -572,7 +546,7 @@ TEST(ColumnarMaterializedOpsTest, MergeJoinRejectsUnsortedColumnarInput) {
   std::vector<ExprPtr> rk = {Expr::Column("k")};
   auto op = MakeMergeJoin(ColSrcOf(unsorted), ColSrcOf(sorted), lk, rk);
   ASSERT_TRUE(op->Open().ok());
-  auto r = op->NextColumnar();
+  auto r = op->Next();
   EXPECT_FALSE(r.ok());
 }
 

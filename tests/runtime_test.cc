@@ -6,6 +6,7 @@
 #include <map>
 
 #include "exec/tpch.h"
+#include "obs/metrics.h"
 
 namespace swift {
 namespace {
@@ -242,6 +243,40 @@ TEST_F(RuntimeTest, ApplicationErrorIsNotRetried) {
   auto report = runtime_.RunPlan(*plan);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kApplication);
+}
+
+TEST_F(RuntimeTest, RaggedScanInputFailsAsApplicationError) {
+  // Row 7 of the table is one cell short of its schema. The scan task
+  // fails with InvalidArgument naming the table and row; that is an
+  // application error, so no machine is blamed and nothing is re-run.
+  obs::MetricsRegistry metrics;
+  LocalRuntimeConfig cfg;
+  cfg.metrics = &metrics;
+  LocalRuntime rt(cfg);
+  auto table = std::make_shared<Table>();
+  table->name = "ragged";
+  table->schema = Schema({{"k", DataType::kInt64}, {"v", DataType::kString}});
+  for (int64_t i = 0; i < 10; ++i) {
+    table->rows.push_back({Value(i), Value("v" + std::to_string(i))});
+  }
+  table->rows[7].pop_back();
+  rt.catalog()->Put(table);
+  auto plan = PlanSql("select k, v from ragged where k >= 0", *rt.catalog(),
+                      PlannerConfig{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto report = rt.RunPlan(*plan);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("table ragged: row 7"),
+            std::string::npos)
+      << report.status().ToString();
+  EXPECT_EQ(metrics.counter("runtime.tasks.failed")->value(), 1);
+  EXPECT_EQ(metrics.counter("runtime.tasks.rerun")->value(), 0);
+  EXPECT_EQ(metrics.counter("runtime.recoveries")->value(), 0);
+  EXPECT_EQ(metrics.counter("runtime.machine_failures")->value(), 0);
+  for (int m = 0; m < cfg.machines; ++m) {
+    EXPECT_FALSE(rt.health_monitor()->IsReadOnly(m)) << "machine " << m;
+  }
 }
 
 TEST_F(RuntimeTest, RepeatedFailureExhaustsAttempts) {

@@ -117,17 +117,6 @@ TEST(CacheWorkerTest, OverBudgetWithoutSpillBackpressuresNotFails) {
   EXPECT_EQ(cw.stats().forced_admits, 1);
 }
 
-TEST(CacheWorkerTest, LegacyGateOffKeepsHardFailure) {
-  // The previous hard-failure behavior stays reachable as the bench
-  // baseline (admission_gate = false).
-  CacheWorkerOptions o;
-  o.memory_budget_bytes = 10;
-  o.admission_gate = false;
-  CacheWorker cw(std::move(o));
-  EXPECT_EQ(cw.Put(Key(0, 0), "0123456789ABCDEF", 1).code(),
-            StatusCode::kResourceExhausted);
-}
-
 TEST(CacheWorkerTest, WaitForCapacityUnblocksOnDrain) {
   CacheWorker cw(32, "");
   ASSERT_TRUE(cw.Put(Key(0, 0), std::string(30, 'x'), 1).ok());
@@ -411,24 +400,8 @@ TEST(ShuffleServiceTest, ZeroCopyPlanePerformsNoPayloadCopies) {
   }
   EXPECT_TRUE(svc.worker(1)->Contains(key));
   auto stats = svc.stats();
-  EXPECT_EQ(stats.payload_copies, 0);
   EXPECT_EQ(stats.local_replicas, 1);
   EXPECT_EQ(stats.modeled_memory_copies, ExtraMemoryCopies(ShuffleKind::kLocal));
-}
-
-TEST(ShuffleServiceTest, LegacyCopyPlaneCountsPayloadCopies) {
-  auto cfg = ServiceConfig();
-  cfg.retain_for_recovery = true;
-  cfg.zero_copy = false;
-  ShuffleService svc(cfg);
-  ShuffleSlotKey key{3, 0, 0, 1, 0};
-  ASSERT_TRUE(svc.WritePartition(ShuffleKind::kRemote, key,
-                                 std::string("payload"), 0, false)
-                  .ok());
-  ASSERT_TRUE(svc.ReadPartition(ShuffleKind::kRemote, key, 1, 0).ok());
-  ASSERT_TRUE(svc.ReadPartition(ShuffleKind::kRemote, key, 2, 0).ok());
-  // One copy into the worker at write, one out of it per read.
-  EXPECT_EQ(svc.stats().payload_copies, 3);
 }
 
 TEST(ShuffleServiceTest, ModeledCopyAccountingMatchesPaper) {
@@ -441,7 +414,6 @@ TEST(ShuffleServiceTest, ModeledCopyAccountingMatchesPaper) {
   }
   // Sec. III-B: Direct +0, Local +2, Remote +1 modeled copies.
   EXPECT_EQ(svc.stats().modeled_memory_copies, 3);
-  EXPECT_EQ(svc.stats().payload_copies, 0);
 }
 
 }  // namespace
