@@ -84,7 +84,7 @@ Value ColumnVector::GetValue(std::size_t i) const {
   return Value::Null();
 }
 
-void ColumnVector::Reserve(std::size_t n) {
+void ColumnVector::Reserve(std::size_t n, std::size_t heap_bytes) {
   switch (rep_) {
     case ColumnRep::kNull:
       break;
@@ -96,6 +96,7 @@ void ColumnVector::Reserve(std::size_t n) {
       break;
     case ColumnRep::kString:
       offsets_.reserve(n + 1);
+      heap_.reserve(heap_bytes);
       break;
     case ColumnRep::kBoxed:
       boxed_.reserve(n);
@@ -515,23 +516,44 @@ Batch ToRowBatch(const ColumnBatch& batch) {
   return out;
 }
 
-void AppendColumnBatch(const ColumnBatch& src, ColumnBatch* dst) {
-  if (dst->columns.empty() && dst->physical_rows == 0) {
-    dst->schema = src.schema;
-    dst->columns.reserve(src.columns.size());
-    for (const ColumnVector& col : src.columns) {
-      dst->columns.push_back(ColumnVector::OfRep(col.rep()));
+ColumnBatch ConcatColumnBatches(const Schema& schema,
+                                std::vector<ColumnBatch> parts) {
+  ColumnBatch out;
+  out.schema = schema;
+  const std::size_t width = schema.num_fields();
+  // Size every output column exactly once: re-reserving per part defeats
+  // geometric growth and re-copies the accumulated column each time.
+  std::size_t total = 0;
+  std::vector<std::size_t> heap_bytes(width, 0);
+  for (const ColumnBatch& part : parts) {
+    total += part.num_rows();
+    for (std::size_t c = 0; c < width; ++c) {
+      heap_bytes[c] += part.columns[c].Heap().size();
     }
   }
-  const std::size_t n = src.num_rows();
-  for (std::size_t c = 0; c < src.columns.size(); ++c) {
-    ColumnVector& out = dst->columns[c];
-    out.Reserve(out.size() + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.AppendFrom(src.columns[c], src.PhysicalIndex(i));
-    }
+  out.columns.reserve(width);
+  for (std::size_t c = 0; c < width; ++c) {
+    ColumnVector col = ColumnVector::OfType(schema.field(c).type);
+    col.Reserve(total, heap_bytes[c]);
+    out.columns.push_back(std::move(col));
   }
-  dst->physical_rows += n;
+  for (ColumnBatch& part : parts) {
+    const std::size_t n = part.num_rows();
+    for (std::size_t c = 0; c < width; ++c) {
+      ColumnVector& dst = out.columns[c];
+      const ColumnVector& src = part.columns[c];
+      if (part.selection) {
+        for (std::size_t i = 0; i < n; ++i) {
+          dst.AppendFrom(src, (*part.selection)[i]);
+        }
+      } else {
+        dst.AppendRangeFrom(src, 0, n);
+      }
+    }
+    out.physical_rows += n;
+    part = ColumnBatch{};  // release as soon as copied
+  }
+  return out;
 }
 
 }  // namespace swift

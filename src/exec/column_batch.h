@@ -99,7 +99,9 @@ class ColumnVector {
   const std::vector<uint8_t>& ValidityBits() const { return valid_; }
   const std::vector<Value>& BoxedValues() const { return boxed_; }
 
-  void Reserve(std::size_t n);
+  /// \brief Reserves room for n cells (and, for kString, `heap_bytes`
+  /// bytes of string heap).
+  void Reserve(std::size_t n, std::size_t heap_bytes = 0);
 
   /// \brief Adaptive append: retypes an all-null column on the first
   /// non-null value; degrades to kBoxed on a type mismatch.
@@ -200,9 +202,13 @@ Result<ColumnBatch> ToColumnBatch(const Batch& batch);
 /// \brief Boxes back to rows, gathering through the selection vector.
 Batch ToRowBatch(const ColumnBatch& batch);
 
-/// \brief Gather-appends all logical rows of `src` onto `*dst` (schema
-/// taken from the first append). Used to concatenate columnar streams.
-void AppendColumnBatch(const ColumnBatch& src, ColumnBatch* dst);
+/// \brief Concatenates the logical rows of `parts`, in order, into one
+/// dense batch of `schema` (columns pre-typed from its fields). Each
+/// output column is sized once for the total; dense parts are bulk-copied
+/// (AppendRangeFrom), selected ones gathered, and each part is released
+/// as soon as it has been copied.
+ColumnBatch ConcatColumnBatches(const Schema& schema,
+                                std::vector<ColumnBatch> parts);
 
 }  // namespace swift
 

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <utility>
 
 #include "common/macros.h"
@@ -18,14 +19,22 @@ namespace {
 // Zero-copy scan cursor over a table's task-slice bounds: each call
 // converts the next <= morsel_rows rows straight out of table->rows, so
 // no full-slice Batch (or ColumnBatch) ever exists and peak resident
-// rows on pipeline-only trees is O(morsel).
+// rows on pipeline-only trees is O(morsel). Only the cells of `columns_`
+// are converted; every row is still checked against the full table
+// width, so a ragged row fails however few columns the scan reads.
 class TableMorselSource final : public PhysicalOperator {
  public:
   TableMorselSource(std::shared_ptr<const Table> table, int task_index,
-                    int task_count, Schema schema, std::size_t morsel_rows)
+                    int task_count, Schema schema,
+                    std::vector<std::size_t> columns, std::size_t morsel_rows)
       : table_(std::move(table)),
+        columns_(std::move(columns)),
         morsel_rows_(morsel_rows == 0 ? kDefaultMorselRows : morsel_rows) {
     output_schema_ = std::move(schema);
+    if (columns_.empty()) {
+      columns_.resize(table_->schema.num_fields());
+      std::iota(columns_.begin(), columns_.end(), std::size_t{0});
+    }
     const auto bounds = table_->TaskSliceBounds(task_index, task_count);
     cursor_ = bounds.first;
     end_ = bounds.second;
@@ -36,23 +45,24 @@ class TableMorselSource final : public PhysicalOperator {
   Result<std::optional<ColumnBatch>> Next() override {
     if (cursor_ >= end_) return std::optional<ColumnBatch>();
     const std::size_t take = std::min(morsel_rows_, end_ - cursor_);
-    const std::size_t width = output_schema_.num_fields();
+    const std::size_t table_width = table_->schema.num_fields();
     for (std::size_t r = cursor_; r < cursor_ + take; ++r) {
-      if (table_->rows[r].size() != width) {
+      if (table_->rows[r].size() != table_width) {
         return Status::InvalidArgument(StrFormat(
             "table %s: row %zu has %zu cells, schema has %zu",
-            table_->name.c_str(), r, table_->rows[r].size(), width));
+            table_->name.c_str(), r, table_->rows[r].size(), table_width));
       }
     }
     ColumnBatch out;
     out.schema = output_schema_;
     out.physical_rows = take;
-    out.columns.reserve(width);
-    for (std::size_t c = 0; c < width; ++c) {
+    out.columns.reserve(columns_.size());
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      const std::size_t src = columns_[c];
       ColumnVector col = ColumnVector::OfType(output_schema_.field(c).type);
       col.Reserve(take);
       for (std::size_t r = 0; r < take; ++r) {
-        col.Append(table_->rows[cursor_ + r][c]);
+        col.Append(table_->rows[cursor_ + r][src]);
       }
       out.columns.push_back(std::move(col));
     }
@@ -62,6 +72,7 @@ class TableMorselSource final : public PhysicalOperator {
 
  private:
   std::shared_ptr<const Table> table_;
+  std::vector<std::size_t> columns_;
   std::size_t morsel_rows_;
   std::size_t cursor_ = 0;
   std::size_t end_ = 0;
@@ -419,10 +430,11 @@ class ParallelMorselPipelineOp final : public PhysicalOperator {
 
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
-                                  Schema schema, std::size_t morsel_rows) {
-  return std::make_unique<TableMorselSource>(std::move(table), task_index,
-                                             task_count, std::move(schema),
-                                             morsel_rows);
+                                  Schema schema, std::size_t morsel_rows,
+                                  std::vector<std::size_t> columns) {
+  return std::make_unique<TableMorselSource>(
+      std::move(table), task_index, task_count, std::move(schema),
+      std::move(columns), morsel_rows);
 }
 
 OperatorPtr MakeMorselSource(Schema schema, std::vector<ColumnBatch> batches,

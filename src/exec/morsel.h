@@ -29,11 +29,15 @@ inline constexpr std::size_t kDefaultMorselRows = 1024;
 /// `task_index` of `task_count` as dense ColumnBatch morsels of at most
 /// `morsel_rows` rows, built straight from `table->rows` through
 /// Table::TaskSliceBounds — the task slice is never materialized as a
-/// whole. A row whose width does not match `schema` fails the pull that
-/// reaches it with InvalidArgument naming the table and row.
+/// whole. `columns` holds the table ordinal of each `schema` field (the
+/// planner's pruned scan); only those cells are converted. Empty means
+/// every table column in order. A row whose width does not match the
+/// table's full schema fails the pull that reaches it with
+/// InvalidArgument naming the table and row.
 OperatorPtr MakeTableMorselSource(std::shared_ptr<const Table> table,
                                   int task_index, int task_count,
-                                  Schema schema, std::size_t morsel_rows);
+                                  Schema schema, std::size_t morsel_rows,
+                                  std::vector<std::size_t> columns = {});
 
 /// \brief Morselizing wrapper over pre-decoded columnar batches (shuffle
 /// input): each input batch is carved into dense morsels of at most

@@ -99,15 +99,17 @@ ColumnBatch EmptyBatchOf(const Schema& schema) {
   return out;
 }
 
-// Drains `child` into one dense batch seeded from its output schema
-// (selections are gathered away by the appends).
+// Drains `child` into one dense batch of its output schema (selections
+// are gathered away by the concatenation).
 Status DrainColumnar(PhysicalOperator* child, ColumnBatch* out) {
-  *out = EmptyBatchOf(child->output_schema());
+  std::vector<ColumnBatch> parts;
   for (;;) {
     SWIFT_ASSIGN_OR_RETURN(std::optional<ColumnBatch> b, child->Next());
-    if (!b.has_value()) return Status::OK();
-    AppendColumnBatch(*b, out);
+    if (!b.has_value()) break;
+    parts.push_back(std::move(*b));
   }
+  *out = ConcatColumnBatches(child->output_schema(), std::move(parts));
+  return Status::OK();
 }
 
 // Where one batch's key columns live. Plain column keys (the common
@@ -1244,27 +1246,6 @@ Result<std::vector<ColumnBatch>> HashPartitionColumnar(
     }
   }
   return out;
-}
-
-Result<bool> IsSorted(const Schema& schema, const std::vector<Row>& rows,
-                      const std::vector<SortKey>& keys) {
-  std::vector<BoundExprPtr> bound;
-  bound.reserve(keys.size());
-  for (const SortKey& k : keys) {
-    SWIFT_ASSIGN_OR_RETURN(BoundExprPtr b, Bind(k.expr, schema));
-    bound.push_back(std::move(b));
-  }
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      SWIFT_ASSIGN_OR_RETURN(Value a, bound[k]->Evaluate(rows[i - 1]));
-      SWIFT_ASSIGN_OR_RETURN(Value b, bound[k]->Evaluate(rows[i]));
-      int c = a.Compare(b);
-      if (!keys[k].ascending) c = -c;
-      if (c < 0) break;
-      if (c > 0) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace swift

@@ -169,10 +169,6 @@ Result<std::vector<ColumnBatch>> HashPartitionColumnar(
     const ColumnBatch& batch, const std::vector<ExprPtr>& keys,
     int num_partitions);
 
-/// \brief True when `rows` is non-descending under `keys`.
-Result<bool> IsSorted(const Schema& schema, const std::vector<Row>& rows,
-                      const std::vector<SortKey>& keys);
-
 }  // namespace swift
 
 #endif  // SWIFT_EXEC_OPERATORS_H_

@@ -304,6 +304,7 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
     }
   }
 
+  const ShuffleServiceStats job_shuffle = shuffle_->job_stats(job);
   shuffle_->RemoveJob(job);
   gangs_->EndJob(job);
   {
@@ -324,10 +325,7 @@ Result<JobRunReport> LocalRuntime::RunPlan(const DistributedPlan& plan,
   JobRunReport report;
   report.result = std::move(ctx.final_result);
   report.stats = ctx.stats;
-  // Service-wide aggregate: under concurrent RunPlan these counters mix
-  // all in-flight jobs (per-job shuffle attribution lives in the obs
-  // layer's byte-conservation counters keyed by the shared registry).
-  report.stats.shuffle = shuffle_->stats();
+  report.stats.shuffle = job_shuffle;
   return report;
 }
 
@@ -859,9 +857,9 @@ Result<OperatorPtr> LocalRuntime::BuildTaskTree(JobContext* ctx,
                            catalog_.Lookup(program.scan_table));
     // The task slice streams straight out of the table and is never
     // materialized whole; a ragged row fails the task at that morsel.
-    sources.push_back(MakeTableMorselSource(table, task.task,
-                                            program.task_count,
-                                            program.scan_schema, morsel_rows));
+    sources.push_back(MakeTableMorselSource(
+        table, task.task, program.task_count, program.scan_schema,
+        morsel_rows, program.scan_columns));
   } else {
     for (StageId src : program.inputs) {
       const StageProgram& producer = ctx->plan->program(src);

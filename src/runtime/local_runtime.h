@@ -142,6 +142,8 @@ struct JobRunStats {
   /// count of already-finished tasks summed over every recovery.
   int64_t job_restart_equivalent_tasks = 0;
   std::map<ShuffleKind, int> edges_by_kind;
+  /// This job's own shuffle counters (ShuffleService::job_stats), not
+  /// the service-wide totals other jobs also feed.
   ShuffleServiceStats shuffle;
 };
 

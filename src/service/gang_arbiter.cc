@@ -190,4 +190,9 @@ std::map<std::string, double> GangArbiter::TenantGangUnits() const {
   return tenant_units_;
 }
 
+std::size_t GangArbiter::queued_requests() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return waiters_.size();
+}
+
 }  // namespace swift

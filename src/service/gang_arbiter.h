@@ -70,6 +70,9 @@ class GangArbiter : public GangScheduler {
   /// \brief Executor-grant units (sum of granted gang sizes) per tenant;
   /// the share each tenant actually received, for fairness assertions.
   std::map<std::string, double> TenantGangUnits() const;
+  /// \brief Gang requests parked in AcquireGang right now (read-only;
+  /// lets a test sequence requests and releases deterministically).
+  std::size_t queued_requests() const;
 
  private:
   struct JobInfo {

@@ -114,7 +114,7 @@ Status ShuffleService::PutWithFlowControl(int machine,
     if (!st.IsBackpressure()) return st;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.put_backpressure_waits += 1;
+      CountLocked(key.job, &ShuffleServiceStats::put_backpressure_waits);
       obs::Add(metrics_.backpressure_waits);
     }
     if (!w->WaitForCapacity(size, config_.put_wait_ms) && size > 0) {
@@ -153,11 +153,12 @@ int64_t ShuffleService::WorkerEndpoint(int machine) const {
   return -(static_cast<int64_t>(machine) + 1);  // negative = cache worker
 }
 
-void ShuffleService::Connect(int64_t from, int64_t to, ShuffleKind kind) {
+void ShuffleService::Connect(JobId job, int64_t from, int64_t to,
+                             ShuffleKind kind) {
   if (from == to) return;
   if (from > to) std::swap(from, to);
   if (connections_.insert({from, to}).second) {
-    stats_.tcp_connections += 1;
+    CountLocked(job, &ShuffleServiceStats::tcp_connections);
     obs::Add(metrics_.connections[static_cast<std::size_t>(kind)]);
   }
 }
@@ -189,7 +190,8 @@ Result<ShuffleBuffer> ShuffleService::CountRead(ShuffleKind kind,
   return buffer;
 }
 
-ShuffleBuffer ShuffleService::MaybeCompress(ShuffleKind kind, bool pipelined,
+ShuffleBuffer ShuffleService::MaybeCompress(JobId job, ShuffleKind kind,
+                                            bool pipelined,
                                             ShuffleBuffer buffer) {
   // Per-edge negotiation: compression pays on barrier edges (Remote
   // always; Local when the reader pulls later), never on Direct hops or
@@ -208,14 +210,16 @@ ShuffleBuffer ShuffleService::MaybeCompress(ShuffleKind kind, bool pipelined,
   if (frame.size() >= buffer.size()) {
     // Incompressible: ship the plain payload, not a bigger frame.
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.compress_skipped += 1;
+    CountLocked(job, &ShuffleServiceStats::compress_skipped);
     obs::Add(metrics_.compress_skipped);
     return buffer;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  stats_.compressed_writes += 1;
-  stats_.compress_bytes_in += static_cast<int64_t>(buffer.size());
-  stats_.compress_bytes_out += static_cast<int64_t>(frame.size());
+  CountLocked(job, &ShuffleServiceStats::compressed_writes);
+  CountLocked(job, &ShuffleServiceStats::compress_bytes_in,
+              static_cast<int64_t>(buffer.size()));
+  CountLocked(job, &ShuffleServiceStats::compress_bytes_out,
+              static_cast<int64_t>(frame.size()));
   obs::Add(metrics_.compressed_writes);
   obs::Add(metrics_.compress_bytes_in, static_cast<int64_t>(buffer.size()));
   obs::Add(metrics_.compress_bytes_out, static_cast<int64_t>(frame.size()));
@@ -263,7 +267,7 @@ void ShuffleService::PlaceReplicas(const ShuffleSlotKey& key,
             ->Put(key, buffer, /*expected_reads=*/0)
             .ok()) {
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.replica_writes += 1;
+      CountLocked(key.job, &ShuffleServiceStats::replica_writes);
       obs::Add(metrics_.replica_writes);
     }
   }
@@ -274,7 +278,7 @@ Status ShuffleService::WritePartition(ShuffleKind kind,
                                       ShuffleBuffer buffer,
                                       int writer_machine, bool pipelined) {
   const int expected_reads = config_.retain_for_recovery ? 0 : 1;
-  buffer = MaybeCompress(kind, pipelined, std::move(buffer));
+  buffer = MaybeCompress(key.job, kind, pipelined, std::move(buffer));
   const int64_t size = static_cast<int64_t>(buffer.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -287,13 +291,12 @@ Status ShuffleService::WritePartition(ShuffleKind kind,
   switch (kind) {
     case ShuffleKind::kDirect: {
       std::lock_guard<std::mutex> lock(mu_);
-      Connect(TaskEndpoint(key, true), TaskEndpoint(key, false), kind);
+      Connect(key.job, TaskEndpoint(key, true), TaskEndpoint(key, false),
+              kind);
       DirectDropLocked(key);  // overwrite of an unread slot drops its bytes
       direct_[key] = std::move(buffer);
       direct_writer_[key] = writer_machine;
-      stats_.direct_writes += 1;
-      stats_.bytes_transferred += size;
-      stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
+      CountWriteLocked(key.job, kind, size);
       obs::Add(metrics_.bytes_written[0], size);
       obs::Add(metrics_.bytes_written_total, size);
       return Status::OK();
@@ -301,10 +304,9 @@ Status ShuffleService::WritePartition(ShuffleKind kind,
     case ShuffleKind::kLocal: {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        Connect(TaskEndpoint(key, true), WorkerEndpoint(writer_machine), kind);
-        stats_.local_writes += 1;
-        stats_.bytes_transferred += size;
-        stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
+        Connect(key.job, TaskEndpoint(key, true),
+                WorkerEndpoint(writer_machine), kind);
+        CountWriteLocked(key.job, kind, size);
         obs::Add(metrics_.bytes_written[1], size);
       }
       // Pipeline edge: the writer-side worker forwards immediately; we
@@ -320,10 +322,9 @@ Status ShuffleService::WritePartition(ShuffleKind kind,
     case ShuffleKind::kRemote: {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        Connect(TaskEndpoint(key, true), WorkerEndpoint(writer_machine), kind);
-        stats_.remote_writes += 1;
-        stats_.bytes_transferred += size;
-        stats_.modeled_memory_copies += ExtraMemoryCopies(kind);
+        Connect(key.job, TaskEndpoint(key, true),
+                WorkerEndpoint(writer_machine), kind);
+        CountWriteLocked(key.job, kind, size);
         obs::Add(metrics_.bytes_written[2], size);
       }
       Status st =
@@ -345,14 +346,14 @@ Result<ShuffleBuffer> ShuffleService::ReadPartition(ShuffleKind kind,
       switch (injector_->OnShuffleRead(key, attempt)) {
         case ReadFault::kTimeout: {
           std::lock_guard<std::mutex> lock(mu_);
-          stats_.read_timeouts += 1;
+          CountLocked(key.job, &ShuffleServiceStats::read_timeouts);
           obs::Add(metrics_.read_timeouts);
           if (attempt + 1 >= max_attempts) {
             return Status::Timeout(StrFormat(
                 "shuffle read %s timed out %d times, giving up",
                 key.ToString().c_str(), attempt + 1));
           }
-          stats_.read_retries += 1;
+          CountLocked(key.job, &ShuffleServiceStats::read_retries);
           obs::Add(metrics_.read_retries);
           break;  // fall through to backoff + retry
         }
@@ -361,7 +362,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartition(ShuffleKind kind,
               ReadPartitionOnce(kind, key, reader_machine, writer_machine);
           if (buffer.ok()) {
             std::lock_guard<std::mutex> lock(mu_);
-            stats_.corrupt_payloads += 1;
+            CountLocked(key.job, &ShuffleServiceStats::corrupt_payloads);
             obs::Add(metrics_.corrupt_payloads);
             return CorruptCopy(*buffer);
           }
@@ -372,7 +373,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartition(ShuffleKind kind,
               ReadPartitionOnce(kind, key, reader_machine, writer_machine);
           if (buffer.ok()) {
             std::lock_guard<std::mutex> lock(mu_);
-            stats_.corrupt_payloads += 1;
+            CountLocked(key.job, &ShuffleServiceStats::corrupt_payloads);
             obs::Add(metrics_.corrupt_payloads);
             return FrameCorruptCopy(*buffer);
           }
@@ -386,7 +387,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartition(ShuffleKind kind,
           if (!buffer.ok() && buffer.status().code() == StatusCode::kIOError &&
               attempt + 1 < max_attempts) {
             std::lock_guard<std::mutex> lock(mu_);
-            stats_.read_retries += 1;
+            CountLocked(key.job, &ShuffleServiceStats::read_retries);
             obs::Add(metrics_.read_retries);
             break;
           }
@@ -399,7 +400,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartition(ShuffleKind kind,
       if (!buffer.ok() && buffer.status().code() == StatusCode::kIOError &&
           attempt + 1 < max_attempts) {
         std::lock_guard<std::mutex> lock(mu_);
-        stats_.read_retries += 1;
+        CountLocked(key.job, &ShuffleServiceStats::read_retries);
         obs::Add(metrics_.read_retries);
       } else {
         return buffer;
@@ -429,7 +430,7 @@ Result<ShuffleBuffer> ShuffleService::PeekAnyReplica(const ShuffleSlotKey& key,
     Result<ShuffleBuffer> buffer = w->Peek(key);
     if (buffer.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.failover_reads += 1;
+      CountLocked(key.job, &ShuffleServiceStats::failover_reads);
       obs::Add(metrics_.failover_reads);
       return buffer;
     }
@@ -451,7 +452,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
         if (it == direct_.end()) {
           return Status::NotFound("direct shuffle slot " + key.ToString());
         }
-        stats_.reads += 1;
+        CountLocked(key.job, &ShuffleServiceStats::reads);
         DirectConsumedLocked(key);
         if (config_.retain_for_recovery) {
           buffer = it->second;  // shared handle, not a payload copy
@@ -467,10 +468,11 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
     case ShuffleKind::kLocal: {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        Connect(WorkerEndpoint(writer_machine), WorkerEndpoint(reader_machine),
-                kind);
-        Connect(TaskEndpoint(key, false), WorkerEndpoint(reader_machine), kind);
-        stats_.reads += 1;
+        Connect(key.job, WorkerEndpoint(writer_machine),
+                WorkerEndpoint(reader_machine), kind);
+        Connect(key.job, TaskEndpoint(key, false),
+                WorkerEndpoint(reader_machine), kind);
+        CountLocked(key.job, &ShuffleServiceStats::reads);
       }
       CacheWorker* src = workers_[static_cast<std::size_t>(writer_machine)].get();
       if (!config_.retain_for_recovery) {
@@ -489,7 +491,7 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
         // an over-budget reader-side worker just skips the replica.
         if (dst->Put(key, *buffer, /*expected_reads=*/0).ok()) {
           std::lock_guard<std::mutex> lock(mu_);
-          stats_.local_replicas += 1;
+          CountLocked(key.job, &ShuffleServiceStats::local_replicas);
           obs::Add(metrics_.local_replicas);
         }
       }
@@ -498,8 +500,9 @@ Result<ShuffleBuffer> ShuffleService::ReadPartitionOnce(
     case ShuffleKind::kRemote: {
       {
         std::lock_guard<std::mutex> lock(mu_);
-        Connect(TaskEndpoint(key, false), WorkerEndpoint(writer_machine), kind);
-        stats_.reads += 1;
+        Connect(key.job, TaskEndpoint(key, false),
+                WorkerEndpoint(writer_machine), kind);
+        CountLocked(key.job, &ShuffleServiceStats::reads);
       }
       CacheWorker* src = workers_[static_cast<std::size_t>(writer_machine)].get();
       if (!config_.retain_for_recovery) {
@@ -534,6 +537,7 @@ void ShuffleService::RemoveJob(JobId job) {
     for (auto it = direct_writer_.begin(); it != direct_writer_.end();) {
       it = it->first.job == job ? direct_writer_.erase(it) : std::next(it);
     }
+    job_stats_.erase(job);
   }
   for (auto& w : workers_) w->RemoveJob(job);
 }
@@ -607,6 +611,37 @@ bool ShuffleService::IsMachineDead(int machine) {
 ShuffleServiceStats ShuffleService::stats() {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+ShuffleServiceStats ShuffleService::job_stats(JobId job) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = job_stats_.find(job);
+  return it == job_stats_.end() ? ShuffleServiceStats{} : it->second;
+}
+
+void ShuffleService::CountLocked(JobId job,
+                                 int64_t ShuffleServiceStats::*field,
+                                 int64_t n) {
+  stats_.*field += n;
+  job_stats_[job].*field += n;
+}
+
+void ShuffleService::CountWriteLocked(JobId job, ShuffleKind kind,
+                                      int64_t size) {
+  switch (kind) {
+    case ShuffleKind::kDirect:
+      CountLocked(job, &ShuffleServiceStats::direct_writes);
+      break;
+    case ShuffleKind::kLocal:
+      CountLocked(job, &ShuffleServiceStats::local_writes);
+      break;
+    case ShuffleKind::kRemote:
+      CountLocked(job, &ShuffleServiceStats::remote_writes);
+      break;
+  }
+  CountLocked(job, &ShuffleServiceStats::bytes_transferred, size);
+  CountLocked(job, &ShuffleServiceStats::modeled_memory_copies,
+              ExtraMemoryCopies(kind));
 }
 
 CacheWorkerStats ShuffleService::worker_stats() {

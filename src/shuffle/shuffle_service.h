@@ -210,7 +210,8 @@ class ShuffleService {
   /// injection).
   void set_fault_injector(FaultInjector* injector);
 
-  /// \brief Frees all state of `job` across workers and the direct path.
+  /// \brief Frees all state of `job` across workers and the direct path,
+  /// its job_stats() included.
   void RemoveJob(JobId job);
 
   /// \brief Drops retained output of `stage` (non-idempotent re-run).
@@ -219,7 +220,13 @@ class ShuffleService {
   CacheWorker* worker(int machine) { return workers_[static_cast<std::size_t>(machine)].get(); }
   int machines() const { return static_cast<int>(workers_.size()); }
 
+  /// \brief Service-wide counters, cumulative over every job.
   ShuffleServiceStats stats();
+
+  /// \brief The counters of `job` alone: every field but
+  /// machine_failures, which no one job owns. Summed over all jobs they
+  /// equal stats(); RemoveJob drops the job's entry.
+  ShuffleServiceStats job_stats(JobId job);
 
   /// \brief Sum of all Cache Workers' counters (cluster-wide view of
   /// backpressure / quota / spill-fault activity).
@@ -240,7 +247,15 @@ class ShuffleService {
   // distinct-connection count follows the paper's formulas.
   int64_t TaskEndpoint(const ShuffleSlotKey& key, bool writer) const;
   int64_t WorkerEndpoint(int machine) const;
-  void Connect(int64_t from, int64_t to, ShuffleKind kind);
+  /// Records a connection the first time an endpoint pair is used; it
+  /// counts for `job`, the job that opened it. Requires mu_.
+  void Connect(JobId job, int64_t from, int64_t to, ShuffleKind kind);
+  /// Adds `n` to `field` of the service totals and of `job`'s own
+  /// counters. Requires mu_.
+  void CountLocked(JobId job, int64_t ShuffleServiceStats::*field,
+                   int64_t n = 1);
+  /// Counts one write of `size` bytes on a `kind` edge. Requires mu_.
+  void CountWriteLocked(JobId job, ShuffleKind kind, int64_t size);
   /// Attributes a successful read's bytes to the per-mode counter.
   Result<ShuffleBuffer> CountRead(ShuffleKind kind,
                                   Result<ShuffleBuffer> buffer);
@@ -254,7 +269,7 @@ class ShuffleService {
                                        int writer_machine);
   /// Compresses an eligible barrier-edge payload in place; returns the
   /// original buffer untouched when framing does not win.
-  ShuffleBuffer MaybeCompress(ShuffleKind kind, bool pipelined,
+  ShuffleBuffer MaybeCompress(JobId job, ShuffleKind kind, bool pipelined,
                               ShuffleBuffer buffer);
   /// Places best-effort extra replicas of a worker-held partition on
   /// the replica_fanout - 1 least-loaded (or round-robin) live workers.
@@ -277,6 +292,7 @@ class ShuffleService {
   std::set<int> dead_;
   std::set<std::pair<int64_t, int64_t>> connections_;
   ShuffleServiceStats stats_;
+  std::map<JobId, ShuffleServiceStats> job_stats_;
   /// Next round-robin replica target (load_aware_placement = false).
   int replica_rr_ = 0;
 

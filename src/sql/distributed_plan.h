@@ -54,8 +54,11 @@ struct StageProgram {
   int task_count = 1;
   std::string scan_table;
   /// Schema of the scanned table as seen by this stage's expressions
-  /// (alias-qualified); only meaningful for scan stages.
+  /// (alias-qualified, pruned to the columns the query references); only
+  /// meaningful for scan stages.
   Schema scan_schema;
+  /// Table ordinal of each scan_schema field: the columns the scan reads.
+  std::vector<std::size_t> scan_columns;
   std::vector<StageId> inputs;
   std::vector<LocalOpDesc> ops;
   /// Hash-partition keys for the shuffle write; empty = every producer

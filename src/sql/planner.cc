@@ -1,6 +1,7 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/macros.h"
@@ -19,6 +20,51 @@ bool Resolves(const ExprPtr& expr, const Schema& schema) {
   for (const std::string& c : cols) {
     if (!schema.IndexOf(c).ok()) return false;
   }
+  return true;
+}
+
+// Last dot-separated segment of a column name, lowercased: the part a
+// table column and every (qualified or bare) reference to it share.
+std::string BaseName(const std::string& name) {
+  const std::size_t dot = name.rfind('.');
+  return ToLower(dot == std::string::npos ? name : name.substr(dot + 1));
+}
+
+// Adds the base name of every column `stmt` references, in any clause
+// and in FROM/JOIN subqueries, to `*out`. Returns false when a SELECT *
+// appears anywhere: a star reads every column, so nothing is pruned.
+bool CollectReferencedColumns(const SelectStmt& stmt,
+                              std::set<std::string>* out) {
+  std::vector<std::string> cols;
+  const auto add = [&cols](const ExprPtr& e) {
+    if (e != nullptr) e->CollectColumns(&cols);
+  };
+  for (const SelectItem& it : stmt.items) {
+    if (it.star) return false;
+    add(it.expr);
+    add(it.agg_arg);
+    if (it.window.has_value()) {
+      add(it.window->arg);
+      for (const ExprPtr& e : it.window->partition_by) add(e);
+      for (const auto& oi : it.window->order_by) add(oi->expr);
+    }
+  }
+  if (stmt.from.subquery != nullptr &&
+      !CollectReferencedColumns(*stmt.from.subquery, out)) {
+    return false;
+  }
+  for (const JoinClause& jc : stmt.joins) {
+    if (jc.table.subquery != nullptr &&
+        !CollectReferencedColumns(*jc.table.subquery, out)) {
+      return false;
+    }
+    add(jc.on);
+  }
+  add(stmt.where);
+  for (const ExprPtr& e : stmt.group_by) add(e);
+  add(stmt.having);
+  for (const OrderItem& oi : stmt.order_by) add(oi.expr);
+  for (const std::string& c : cols) out->insert(BaseName(c));
   return true;
 }
 
@@ -58,6 +104,7 @@ class PlanBuilder {
       : catalog_(catalog), config_(config) {}
 
   Result<DistributedPlan> Build(const SelectStmt& stmt) {
+    prune_ = CollectReferencedColumns(stmt, &referenced_);
     SWIFT_ASSIGN_OR_RETURN(StageId current, PlanSelect(stmt));
     // Final gather stage: single task, marked as the client sink.
     StageProgram sink;
@@ -110,15 +157,28 @@ class PlanBuilder {
     scan.task_count = static_cast<int>(std::clamp<int64_t>(
         (rows + config_.rows_per_scan_task - 1) / config_.rows_per_scan_task,
         1, config_.max_scan_tasks));
-    if (ref.alias.empty()) {
-      scan.output_schema = table->schema;
-    } else {
-      std::vector<Field> fields;
-      for (const Field& f : table->schema.fields()) {
-        fields.push_back(Field{ref.alias + "." + f.name, f.type});
+    // Projection pushdown: read only the columns some clause references.
+    // Matching on base names keeps `col` for every `x.col`, so each side
+    // of an alias self-join keeps it, and name resolution against the
+    // pruned schema finds exactly what it found against the full one.
+    const Schema& full = table->schema;
+    for (std::size_t c = 0; c < full.num_fields(); ++c) {
+      if (!prune_ || referenced_.count(BaseName(full.field(c).name)) > 0) {
+        scan.scan_columns.push_back(c);
       }
-      scan.output_schema = Schema(std::move(fields));
     }
+    // count(*) alone references nothing; the rows still need a carrier.
+    if (scan.scan_columns.empty() && full.num_fields() > 0) {
+      scan.scan_columns.push_back(0);
+    }
+    std::vector<Field> fields;
+    for (std::size_t c : scan.scan_columns) {
+      const Field& f = full.field(c);
+      fields.push_back(ref.alias.empty()
+                           ? f
+                           : Field{ref.alias + "." + f.name, f.type});
+    }
+    scan.output_schema = Schema(std::move(fields));
     scan.scan_schema = scan.output_schema;
     StageId id = scan.stage;
     stages_[id] = std::move(scan);
@@ -687,6 +747,10 @@ class PlanBuilder {
   std::map<StageId, StageProgram> stages_;
   std::map<StageId, bool> is_sink_;
   std::vector<StageId> pushdown_candidates_;
+  // Base names of every column the statement references; scans read
+  // only matching columns unless a SELECT * turned pruning off.
+  std::set<std::string> referenced_;
+  bool prune_ = true;
   std::string sink_name_;
   int next_id_ = 0;
 };

@@ -188,6 +188,70 @@ TEST_P(ColumnarPropertyTest, SelectionAwareSerialization) {
   ExpectBatchesBitEq(ToRowBatch(flat), gathered);
 }
 
+// Drains concatenate their input morsels with ConcatColumnBatches. Many
+// parts of every shape (dense, selected, NULL-bearing, boxed, all-NULL
+// kNull columns, and a kNull-typed field that retypes once values
+// arrive) concatenate to exactly the parts' rows, in order.
+TEST_P(ColumnarPropertyTest, ConcatMatchesReferenceConcatenation) {
+  Rng rng(GetParam());
+  const Schema schema({{"i", DataType::kInt64},
+                       {"f", DataType::kFloat64},
+                       {"s", DataType::kString},
+                       {"n", DataType::kNull}});
+  std::vector<ColumnBatch> parts;
+  std::vector<Batch> want;
+  std::size_t total = 0;
+  for (int p = 0; p < 48; ++p) {
+    const int shape = p % 4;  // 0 dense, 1 selected, 2 all-NULL, 3 boxed
+    const int nrows = static_cast<int>(rng.UniformInt(0, 70));
+    ColumnBatch cb;
+    if (shape == 2) {
+      cb.schema = schema;
+      cb.physical_rows = static_cast<std::size_t>(nrows);
+      for (std::size_t c = 0; c < schema.num_fields(); ++c) {
+        cb.columns.push_back(ColumnVector::MakeNull(cb.physical_rows));
+      }
+    } else {
+      Batch b;
+      b.schema = schema;
+      for (int r = 0; r < nrows; ++r) {
+        const auto cell = [&](Value v) {
+          if (rng.UniformInt(0, 7) == 0) return Value::Null();
+          if (shape == 3 && rng.UniformInt(0, 9) == 0) {
+            return Value("odd" + std::to_string(r));  // degrades to kBoxed
+          }
+          return v;
+        };
+        // Field "n" stays NULL until the second half of the parts.
+        b.rows.push_back({cell(Value(rng.UniformInt(-1000, 1000))),
+                          cell(Value(rng.Uniform(-1.0, 1.0))),
+                          cell(Value("s" + std::to_string(r))),
+                          p < 24 ? Value::Null() : cell(Value(int64_t{p}))});
+      }
+      Result<ColumnBatch> converted = ToColumnBatch(b);
+      ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+      cb = *std::move(converted);
+      if (shape == 1) {
+        std::vector<uint32_t> sel;
+        for (std::size_t i = 0; i < cb.physical_rows; ++i) {
+          if (rng.UniformInt(0, 2) != 0) {
+            sel.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        cb.selection = std::move(sel);
+      }
+    }
+    total += cb.num_rows();
+    want.push_back(ToRowBatch(cb));
+    parts.push_back(std::move(cb));
+  }
+  ColumnBatch got = ConcatColumnBatches(schema, std::move(parts));
+  EXPECT_FALSE(got.selection.has_value());
+  EXPECT_EQ(got.physical_rows, total);
+  for (const ColumnVector& col : got.columns) EXPECT_EQ(col.size(), total);
+  ExpectBatchesBitEq(ToRowBatch(got), ref::Concat(schema, want));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ColumnarPropertyTest,
                          ::testing::Range<uint64_t>(1, 33));
 

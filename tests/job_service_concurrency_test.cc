@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -98,6 +99,53 @@ TEST(JobServiceConcurrency, ResultsByteIdenticalToSerialExecution) {
   const JobService::Stats stats = service.stats();
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.failed, 0);
+}
+
+// Jobs running at once each report only their own shuffle counters, so
+// the per-job figures sum to the service-wide totals.
+TEST(JobServiceConcurrency, PerJobShuffleBytesSumToServiceTotals) {
+  JobServiceConfig cfg;
+  cfg.max_concurrent_jobs = 4;
+  cfg.runtime.machines = 2;
+  cfg.runtime.executors_per_machine = 16;
+  cfg.runtime.worker_threads = 4;
+  cfg.runtime.force_shuffle_kind = ShuffleKind::kRemote;
+  JobService service(cfg);
+  GenerateTinyTpch(service.catalog());
+
+  constexpr int kThreads = 4;
+  const std::vector<int> queries = {3, 5, 9, 10};
+  std::mutex mu;
+  ShuffleServiceStats sum;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        auto sql = TpchQuerySql(queries[(i + static_cast<std::size_t>(t)) %
+                                        queries.size()]);
+        ASSERT_TRUE(sql.ok());
+        JobRequest req;
+        req.sql = *sql;
+        req.tenant = "thread-" + std::to_string(t);
+        auto outcome = service.RunSync(std::move(req));
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        ASSERT_TRUE(outcome->status.ok()) << outcome->status.ToString();
+        const ShuffleServiceStats& job = outcome->report.stats.shuffle;
+        EXPECT_GT(job.bytes_transferred, 0);
+        std::lock_guard<std::mutex> lock(mu);
+        sum.bytes_transferred += job.bytes_transferred;
+        sum.remote_writes += job.remote_writes;
+        sum.reads += job.reads;
+      }
+    });
+  }
+  for (std::thread& t : submitters) t.join();
+  service.Drain();
+  const ShuffleServiceStats total =
+      service.runtime()->shuffle_service()->stats();
+  EXPECT_EQ(sum.bytes_transferred, total.bytes_transferred);
+  EXPECT_EQ(sum.remote_writes, total.remote_writes);
+  EXPECT_EQ(sum.reads, total.reads);
 }
 
 // The full concurrent mix under severe shuffle memory pressure: every

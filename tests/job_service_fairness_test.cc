@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -174,9 +177,13 @@ TEST(FairSharePolicy, WeightsScaleShares) {
 // ---------------------------------------------------------------------
 // GangArbiter fairness under real thread contention.
 
-// Three equally-weighted tenants hammer a pool that fits two gangs at a
-// time; the executor-units each tenant is granted stay within a bounded
-// band of the equal split, and nobody deadlocks or starves.
+// Three equally-weighted tenants with two jobs each share a pool that
+// fits two gangs of 4, so two jobs hold a gang and four wait. The test
+// releases one gang at a time (oldest grant first) and lets the released
+// job ask again only after the arbiter has granted the freed gang. Every
+// grant therefore chooses among the same queued requests on every run:
+// the shares measure the fairness policy, not thread scheduling. Each
+// tenant's executor units stay within a band of the equal split.
 TEST(GangArbiter, EqualWeightTenantsSplitExecutorGrants) {
   GangArbiterConfig cfg;
   cfg.machines = 2;
@@ -184,36 +191,103 @@ TEST(GangArbiter, EqualWeightTenantsSplitExecutorGrants) {
   GangArbiter arbiter(cfg);
 
   constexpr int kTenants = 3;
+  constexpr int kJobsPerTenant = 2;
+  constexpr int kClients = kTenants * kJobsPerTenant;
+  constexpr std::size_t kGangs = 2;
   constexpr int kGrantBudget = 120;
-  std::atomic<int> grants{0};
-  std::atomic<JobId> next_job{1};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kTenants; ++t) {
-    threads.emplace_back([&, t] {
-      const std::string tenant = "tenant-" + std::to_string(t);
-      while (grants.fetch_add(1) < kGrantBudget) {
-        const JobId job = next_job.fetch_add(1);
-        JobRunOptions opts;
-        opts.tenant = tenant;
+  struct Grant {
+    int client = 0;
+    JobId job = 0;
+    std::vector<ExecutorId> gang;
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Grant> held;  // oldest grant first
+  std::vector<bool> go(kClients, false);
+  bool stop = false;
+  JobId next_job = 1;
+
+  // A client waits for its turn, then requests one gang and reports it.
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      JobRunOptions opts;
+      opts.tenant = "tenant-" + std::to_string(c / kJobsPerTenant);
+      for (;;) {
+        JobId job = 0;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          cv.wait(lock, [&] { return go[c] || stop; });
+          if (!go[c]) return;
+          go[c] = false;
+          job = next_job++;
+        }
         arbiter.BeginJob(job, opts);
         auto gang = arbiter.AcquireGang(job, std::vector<LocalityPref>(4));
-        ASSERT_TRUE(gang.ok()) << gang.status().ToString();
-        std::this_thread::yield();
-        arbiter.ReleaseGang(job, *gang);
-        arbiter.EndJob(job);
+        EXPECT_TRUE(gang.ok()) << gang.status().ToString();
+        std::lock_guard<std::mutex> lock(mu);
+        held.push_back(Grant{c, job, gang.ok() ? *gang
+                                               : std::vector<ExecutorId>{}});
       }
     });
   }
-  for (std::thread& t : threads) t.join();
+  // queued_requests() is not signalled on `cv`, so the script polls.
+  const auto wait_until = [&](std::unique_lock<std::mutex>& lock,
+                              const auto& done) {
+    while (!done()) {
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      lock.lock();
+    }
+  };
+  const auto release_oldest = [&](std::unique_lock<std::mutex>& lock) {
+    wait_until(lock, [&] { return !held.empty(); });
+    Grant g = std::move(held.front());
+    held.pop_front();
+    lock.unlock();
+    arbiter.ReleaseGang(g.job, g.gang);
+    arbiter.EndJob(g.job);
+    lock.lock();
+    return g.client;
+  };
 
+  std::unique_lock<std::mutex> lock(mu);
+  // Clients enter one at a time, so the first requests queue in order.
+  for (int c = 0; c < kClients; ++c) {
+    go[c] = true;
+    cv.notify_all();
+    const std::size_t holding = std::min<std::size_t>(c + 1, kGangs);
+    wait_until(lock, [&] {
+      return held.size() == holding &&
+             arbiter.queued_requests() == c + 1 - holding;
+    });
+  }
+  for (int grants = kGangs; grants < kGrantBudget; ++grants) {
+    const int client = release_oldest(lock);
+    wait_until(lock, [&] {
+      return held.size() == kGangs &&
+             arbiter.queued_requests() == kClients - kGangs - 1;
+    });
+    go[client] = true;
+    cv.notify_all();
+    wait_until(lock,
+               [&] { return arbiter.queued_requests() == kClients - kGangs; });
+  }
   const std::map<std::string, double> units = arbiter.TenantGangUnits();
+  // Drain: every client still holds or waits for one gang.
+  stop = true;
+  cv.notify_all();
+  for (int c = 0; c < kClients; ++c) release_oldest(lock);
+  lock.unlock();
+  for (std::thread& t : clients) t.join();
+
   ASSERT_EQ(units.size(), static_cast<std::size_t>(kTenants));
   double total = 0.0;
   for (const auto& [tenant, u] : units) total += u;
+  EXPECT_EQ(total, 4.0 * kGrantBudget);
   for (const auto& [tenant, u] : units) {
-    // Equal split would be 1/3 each; require every tenant lands within
-    // a generous band (catches starvation and monopolies, tolerates
-    // scheduling noise).
+    // Equal split would be 1/3 each; the band catches starvation and
+    // monopolies.
     EXPECT_GT(u / total, 0.15) << tenant << " starved: " << u << "/" << total;
     EXPECT_LT(u / total, 0.55) << tenant << " dominated: " << u << "/"
                                << total;

@@ -347,15 +347,6 @@ TEST(OperatorsTest, HashPartitionRejectsBadCount) {
       HashPartitionColumnar(*ToColumnBatch(b), {Expr::Column("k")}, 0).ok());
 }
 
-TEST(OperatorsTest, IsSortedDetects) {
-  Schema s({{"x", DataType::kInt64}});
-  std::vector<Row> sorted = {{Value(int64_t{1})}, {Value(int64_t{2})}};
-  std::vector<Row> unsorted = {{Value(int64_t{2})}, {Value(int64_t{1})}};
-  EXPECT_TRUE(*IsSorted(s, sorted, {SortKey{Expr::Column("x"), true}}));
-  EXPECT_FALSE(*IsSorted(s, unsorted, {SortKey{Expr::Column("x"), true}}));
-  EXPECT_TRUE(*IsSorted(s, unsorted, {SortKey{Expr::Column("x"), false}}));
-}
-
 TEST(OperatorsTest, PipelinedChainFilterProjectSortLimit) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 2000; ++i) {  // spans multiple internal batches

@@ -4,6 +4,7 @@
 
 #include "exec/tpch.h"
 #include "partition/partitioners.h"
+#include "sql/tpch_queries.h"
 
 namespace swift {
 namespace {
@@ -250,6 +251,104 @@ TEST_F(PlannerTest, PlanToStringMentionsStages) {
   const std::string s = plan->ToString();
   EXPECT_NE(s.find("tpch_nation"), std::string::npos);
   EXPECT_NE(s.find("tasks="), std::string::npos);
+}
+
+// ---- Projection pushdown ----------------------------------------------
+
+// The scan stages of `table`, in stage order.
+std::vector<const StageProgram*> ScansOf(const DistributedPlan& plan,
+                                         const std::string& table) {
+  std::vector<const StageProgram*> scans;
+  for (const auto& [id, p] : plan.stages) {
+    if (p.scan_table == table) scans.push_back(&p);
+  }
+  return scans;
+}
+
+// A scan's field names, after checking each matches the table column its
+// ordinal in scan_columns names.
+std::vector<std::string> ScanFields(const Catalog& catalog,
+                                    const StageProgram& scan) {
+  const Schema& full = (*catalog.Lookup(scan.scan_table))->schema;
+  EXPECT_EQ(scan.scan_columns.size(), scan.scan_schema.num_fields());
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < scan.scan_schema.num_fields(); ++i) {
+    const std::string& name = scan.scan_schema.field(i).name;
+    const std::string& column = full.field(scan.scan_columns[i]).name;
+    EXPECT_TRUE(name == column ||
+                (name.size() > column.size() &&
+                 name.compare(name.size() - column.size() - 1,
+                              std::string::npos, "." + column) == 0))
+        << name << " vs table column " << column;
+    names.push_back(name);
+  }
+  return names;
+}
+
+TEST_F(PlannerTest, Q6ScanReadsOnlyItsFourColumns) {
+  auto plan = PlanSql(*TpchQuerySql(6), catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const auto scans = ScansOf(*plan, "tpch_lineitem");
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(ScanFields(catalog_, *scans[0]),
+            (std::vector<std::string>{"l_quantity", "l_extendedprice",
+                                      "l_discount", "l_shipdate"}));
+  EXPECT_EQ(scans[0]->scan_columns, (std::vector<std::size_t>{4, 5, 6, 10}));
+}
+
+TEST_F(PlannerTest, SelectStarKeepsEveryColumn) {
+  const std::size_t width =
+      (*catalog_.Lookup("tpch_nation"))->schema.num_fields();
+  for (const char* sql :
+       {"select * from tpch_nation where n_regionkey = 1",
+        // A star anywhere, here inside a FROM subquery, turns pruning off.
+        "select t.n_name from (select * from tpch_nation) t"}) {
+    auto plan = PlanSql(sql, catalog_);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    const auto scans = ScansOf(*plan, "tpch_nation");
+    ASSERT_EQ(scans.size(), 1u) << sql;
+    EXPECT_EQ(ScanFields(catalog_, *scans[0]).size(), width) << sql;
+  }
+}
+
+TEST_F(PlannerTest, AliasSelfJoinKeepsReferencedColumnOnBothSides) {
+  // Only n1.n_name and n2.n_nationkey are named, but base-name matching
+  // keeps n_name and n_nationkey on both sides; n_comment goes.
+  auto plan = PlanSql(
+      "select n1.n_name from tpch_nation n1 "
+      "join tpch_nation n2 on n1.n_regionkey = n2.n_regionkey "
+      "where n2.n_nationkey = 3",
+      catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const auto scans = ScansOf(*plan, "tpch_nation");
+  ASSERT_EQ(scans.size(), 2u);
+  EXPECT_EQ(ScanFields(catalog_, *scans[0]),
+            (std::vector<std::string>{"n1.n_nationkey", "n1.n_name",
+                                      "n1.n_regionkey"}));
+  EXPECT_EQ(ScanFields(catalog_, *scans[1]),
+            (std::vector<std::string>{"n2.n_nationkey", "n2.n_name",
+                                      "n2.n_regionkey"}));
+}
+
+TEST_F(PlannerTest, CountStarScanKeepsOneColumn) {
+  // The count itself is checked end to end by RuntimeTest.GlobalAggregate.
+  auto plan = PlanSql("select count(*) from tpch_lineitem", catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const auto scans = ScansOf(*plan, "tpch_lineitem");
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(ScanFields(catalog_, *scans[0]).size(), 1u);
+}
+
+TEST_F(PlannerTest, FromSubqueryPrunesItsInnerScan) {
+  auto plan = PlanSql(
+      "select t.total from (select o_custkey, sum(o_totalprice) as total "
+      "from tpch_orders group by o_custkey) t where t.total > 0",
+      catalog_);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const auto scans = ScansOf(*plan, "tpch_orders");
+  ASSERT_EQ(scans.size(), 1u);
+  EXPECT_EQ(ScanFields(catalog_, *scans[0]),
+            (std::vector<std::string>{"o_custkey", "o_totalprice"}));
 }
 
 }  // namespace

@@ -85,6 +85,16 @@ inline Batch Limit(const Batch& in, std::size_t n) {
   return out;
 }
 
+// The rows of `parts`, one after another, under `schema`.
+inline Batch Concat(const Schema& schema, const std::vector<Batch>& parts) {
+  Batch out;
+  out.schema = schema;
+  for (const Batch& b : parts) {
+    out.rows.insert(out.rows.end(), b.rows.begin(), b.rows.end());
+  }
+  return out;
+}
+
 inline Batch Sort(const Batch& in, const std::vector<SortKey>& keys) {
   std::vector<ExprPtr> exprs;
   for (const SortKey& k : keys) exprs.push_back(k.expr);

@@ -279,6 +279,66 @@ TEST_F(RuntimeTest, RaggedScanInputFailsAsApplicationError) {
   }
 }
 
+TEST_F(RuntimeTest, RaggedRowOutsidePrunedColumnsStillFailsTheScan) {
+  // The query reads only column k, and row 7 lacks the unread column w:
+  // the scan still checks every row against the full table width.
+  LocalRuntime rt;
+  auto table = std::make_shared<Table>();
+  table->name = "ragged";
+  table->schema = Schema({{"k", DataType::kInt64},
+                          {"v", DataType::kString},
+                          {"w", DataType::kInt64}});
+  for (int64_t i = 0; i < 10; ++i) {
+    table->rows.push_back({Value(i), Value("v" + std::to_string(i)), Value(i)});
+  }
+  table->rows[7].pop_back();
+  rt.catalog()->Put(table);
+  auto plan = PlanSql("select k from ragged where k >= 0", *rt.catalog(),
+                      PlannerConfig{});
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  bool pruned = false;
+  for (const auto& [id, p] : plan->stages) {
+    if (p.scan_table == "ragged") {
+      pruned = p.scan_columns == std::vector<std::size_t>{0};
+    }
+  }
+  ASSERT_TRUE(pruned) << "the scan should read column k alone";
+  auto report = rt.RunPlan(*plan);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find("table ragged: row 7"),
+            std::string::npos)
+      << report.status().ToString();
+}
+
+TEST_F(RuntimeTest, JobShuffleStatsCountOnlyThatJob) {
+  // Two jobs in a row on one runtime: each report's shuffle counters are
+  // the service's growth across that job, not its running total.
+  const char* kJoin =
+      "select n_name, r_name from tpch_nation n "
+      "join tpch_region r on n.n_regionkey = r.r_regionkey";
+  ShuffleService* shuffle = runtime_.shuffle_service();
+  for (int run = 0; run < 2; ++run) {
+    const ShuffleServiceStats before = shuffle->stats();
+    auto report = runtime_.RunSql(kJoin);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const ShuffleServiceStats after = shuffle->stats();
+    const ShuffleServiceStats& job = report->stats.shuffle;
+    EXPECT_GT(job.bytes_transferred, 0) << "run " << run;
+    EXPECT_EQ(job.bytes_transferred,
+              after.bytes_transferred - before.bytes_transferred)
+        << "run " << run;
+    EXPECT_EQ(job.direct_writes + job.local_writes + job.remote_writes,
+              after.direct_writes + after.local_writes + after.remote_writes -
+                  before.direct_writes - before.local_writes -
+                  before.remote_writes)
+        << "run " << run;
+    EXPECT_EQ(job.reads, after.reads - before.reads) << "run " << run;
+    // Finished jobs leave no per-job counters behind.
+    EXPECT_EQ(shuffle->job_stats(report->stats.job_id).bytes_transferred, 0);
+  }
+}
+
 TEST_F(RuntimeTest, RepeatedFailureExhaustsAttempts) {
   LocalRuntimeConfig cfg;
   cfg.max_task_attempts = 2;
