@@ -1,6 +1,7 @@
 #include "exec/bound_expr.h"
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/macros.h"
@@ -64,6 +65,24 @@ Result<Value> NumericArithScalar(BinaryOp op, const Value& lv,
   return Arith(op, lv, rv);
 }
 
+// Whether comparison `op` holds for a three-way result c (<0, 0, >0).
+bool CompareHolds(BinaryOp op, int c) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return c == 0;
+    case BinaryOp::kNe:
+      return c != 0;
+    case BinaryOp::kLt:
+      return c < 0;
+    case BinaryOp::kLe:
+      return c <= 0;
+    case BinaryOp::kGt:
+      return c > 0;
+    default:
+      return c >= 0;
+  }
+}
+
 Result<Value> NumericCompareScalar(BinaryOp op, const Value& lv,
                                    const Value& rv) {
   if (lv.is_numeric() && rv.is_numeric()) {
@@ -77,28 +96,7 @@ Result<Value> NumericCompareScalar(BinaryOp op, const Value& lv,
       const double b = rv.AsDouble();
       c = a < b ? -1 : (a > b ? 1 : 0);
     }
-    bool out = false;
-    switch (op) {
-      case BinaryOp::kEq:
-        out = c == 0;
-        break;
-      case BinaryOp::kNe:
-        out = c != 0;
-        break;
-      case BinaryOp::kLt:
-        out = c < 0;
-        break;
-      case BinaryOp::kLe:
-        out = c <= 0;
-        break;
-      case BinaryOp::kGt:
-        out = c > 0;
-        break;
-      default:
-        out = c >= 0;
-        break;
-    }
-    return Value(static_cast<int64_t>(out ? 1 : 0));
+    return Value(static_cast<int64_t>(CompareHolds(op, c) ? 1 : 0));
   }
   return Compare(op, lv, rv);
 }
@@ -203,7 +201,12 @@ class BoundColumn final : public BoundExpr {
 
 class BoundLiteral final : public BoundExpr {
  public:
-  explicit BoundLiteral(Value v) : BoundExpr(v.type()), v_(std::move(v)) {}
+  explicit BoundLiteral(Value v)
+      : BoundExpr(v.type()),
+        v_(std::move(v)),
+        cell_(ColumnVector::OfType(v_.type())) {
+    cell_.Append(v_);
+  }
 
   Result<Value> Evaluate(const Row&) const override { return v_; }
 
@@ -224,9 +227,62 @@ class BoundLiteral final : public BoundExpr {
 
   const Value* literal() const override { return &v_; }
 
+  /// The value as a one-cell column, for kernels that read it as a scalar.
+  const ColumnVector& cell() const { return cell_; }
+
  private:
   Value v_;
+  ColumnVector cell_;
 };
+
+// One input of a typed kernel, read without building a column where it
+// can be: a literal is its one-cell column, read at cell 0 for every
+// logical row; a plain column reference is read in place through the
+// batch's selection; anything else is evaluated densely into scratch.
+class Operand {
+ public:
+  Status Resolve(const BoundExpr& e, const ColumnBatch& in) {
+    scalar_ = e.literal() != nullptr;
+    sel_ = nullptr;
+    if (scalar_) {
+      col_ = &static_cast<const BoundLiteral&>(e).cell();
+      return Status::OK();
+    }
+    const int64_t ord = e.column_ordinal();
+    if (ord >= 0 && static_cast<std::size_t>(ord) < in.columns.size()) {
+      col_ = &in.columns[static_cast<std::size_t>(ord)];
+      if (in.selection) sel_ = &*in.selection;
+      return Status::OK();
+    }
+    col_ = &scratch_;
+    return e.EvaluateVector(in, &scratch_);
+  }
+
+  const ColumnVector& col() const { return *col_; }
+  ColumnRep rep() const { return col_->rep(); }
+
+  /// Index into col() of logical row i.
+  std::size_t row(std::size_t i) const {
+    if (scalar_) return 0;
+    return sel_ != nullptr ? (*sel_)[i] : i;
+  }
+
+ private:
+  const ColumnVector* col_ = nullptr;
+  const std::vector<uint32_t>* sel_ = nullptr;
+  bool scalar_ = false;
+  ColumnVector scratch_;
+};
+
+bool IsNumericRep(ColumnRep r) {
+  return r == ColumnRep::kInt64 || r == ColumnRep::kFloat64;
+}
+
+// Numeric cell i of an int64 or float64 column, widened to double.
+double DoubleAt(const ColumnVector& c, std::size_t i) {
+  return c.rep() == ColumnRep::kInt64 ? static_cast<double>(c.Int64At(i))
+                                      : c.Float64At(i);
+}
 
 // A constant subtree whose evaluation fails (e.g. a literal 1/0): the
 // error stays an eval-time error, exactly as in the interpreted tree.
@@ -336,7 +392,51 @@ class BoundBinary final : public BoundExpr {
     return Status::Internal("unhandled binary op");
   }
 
+  Status EvaluateVector(const ColumnBatch& in,
+                        ColumnVector* out) const override {
+    if ((IsCompareOp(op_) || op_ == BinaryOp::kLike) &&
+        StringKernel(in, out)) {
+      return Status::OK();
+    }
+    return BoundExpr::EvaluateVector(in, out);
+  }
+
  private:
+  // Column-at-a-time string comparison / LIKE for a kString left operand
+  // against a kString right operand (a string literal is a one-cell
+  // kString column). Two strings can neither fail to compare nor fail to
+  // match, so the result is exactly Evaluate's. Returns false, leaving
+  // `*out` to the row path, for any other operand shape — including an
+  // operand whose evaluation fails, so error text stays the row path's.
+  bool StringKernel(const ColumnBatch& in, ColumnVector* out) const {
+    Operand l;
+    Operand r;
+    if (!l.Resolve(*lhs_, in).ok() || l.rep() != ColumnRep::kString ||
+        !r.Resolve(*rhs_, in).ok() || r.rep() != ColumnRep::kString) {
+      return false;
+    }
+    const ColumnVector& lc = l.col();
+    const ColumnVector& rc = r.col();
+    const bool nullable = lc.has_nulls() || rc.has_nulls();
+    const std::size_t n = in.num_rows();
+    *out = ColumnVector::OfType(DataType::kInt64);
+    out->Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t li = l.row(i);
+      const std::size_t ri = r.row(i);
+      if (nullable && (lc.IsNull(li) || rc.IsNull(ri))) {
+        out->AppendNull();
+        continue;
+      }
+      const std::string_view a = lc.StrAt(li);
+      const std::string_view b = rc.StrAt(ri);
+      const bool t = op_ == BinaryOp::kLike ? SqlLikeMatch(a, b)
+                                            : CompareHolds(op_, a.compare(b));
+      out->AppendInt64(t ? 1 : 0);
+    }
+    return true;
+  }
+
   BinaryOp op_;
   BoundExprPtr lhs_;
   BoundExprPtr rhs_;
@@ -361,77 +461,84 @@ class BoundNumericArith final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector lv;
-    ColumnVector rv;
-    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
-    SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
+    Operand l;
+    Operand r;
+    SWIFT_RETURN_NOT_OK(l.Resolve(*lhs_, in));
+    SWIFT_RETURN_NOT_OK(r.Resolve(*rhs_, in));
+    const ColumnVector& lc = l.col();
+    const ColumnVector& rc = r.col();
     const std::size_t n = in.num_rows();
-    // Matched-type typed loops; everything else goes cell-by-cell
-    // through the shared scalar kernel (identical results and errors).
-    if (lv.rep() == ColumnRep::kInt64 && rv.rep() == ColumnRep::kInt64 &&
+    const bool no_nulls = !lc.has_nulls() && !rc.has_nulls();
+    // Typed loops: int64 (op) int64 stays exact; every other numeric
+    // pairing — float64 on either side, or an int64 division — computes
+    // in double, as the shared scalar kernel does. Anything else goes
+    // cell-by-cell through that kernel (identical results and errors).
+    if (lc.rep() == ColumnRep::kInt64 && rc.rep() == ColumnRep::kInt64 &&
         op_ != BinaryOp::kDiv) {
       *out = ColumnVector::OfType(DataType::kInt64);
       out->Reserve(n);
-      const int64_t* a = lv.Int64Data();
-      const int64_t* b = rv.Int64Data();
-      const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
       for (std::size_t i = 0; i < n; ++i) {
-        if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
+        const std::size_t li = l.row(i);
+        const std::size_t ri = r.row(i);
+        if (!no_nulls && (lc.IsNull(li) || rc.IsNull(ri))) {
           out->AppendNull();
           continue;
         }
-        int64_t r = 0;
+        const int64_t a = lc.Int64At(li);
+        const int64_t b = rc.Int64At(ri);
+        int64_t v = 0;
         switch (op_) {
           case BinaryOp::kAdd:
-            r = a[i] + b[i];
+            v = a + b;
             break;
           case BinaryOp::kSub:
-            r = a[i] - b[i];
+            v = a - b;
             break;
           default:
-            r = a[i] * b[i];
+            v = a * b;
             break;
         }
-        out->AppendInt64(r);
+        out->AppendInt64(v);
       }
       return Status::OK();
     }
-    if (lv.rep() == ColumnRep::kFloat64 && rv.rep() == ColumnRep::kFloat64) {
+    if (IsNumericRep(lc.rep()) && IsNumericRep(rc.rep())) {
       *out = ColumnVector::OfType(DataType::kFloat64);
       out->Reserve(n);
-      const double* a = lv.Float64Data();
-      const double* b = rv.Float64Data();
-      const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
       for (std::size_t i = 0; i < n; ++i) {
-        if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
+        const std::size_t li = l.row(i);
+        const std::size_t ri = r.row(i);
+        if (!no_nulls && (lc.IsNull(li) || rc.IsNull(ri))) {
           out->AppendNull();
           continue;
         }
-        double r = 0;
+        const double a = DoubleAt(lc, li);
+        const double b = DoubleAt(rc, ri);
+        double v = 0;
         switch (op_) {
           case BinaryOp::kAdd:
-            r = a[i] + b[i];
+            v = a + b;
             break;
           case BinaryOp::kSub:
-            r = a[i] - b[i];
+            v = a - b;
             break;
           case BinaryOp::kMul:
-            r = a[i] * b[i];
+            v = a * b;
             break;
           default:
-            if (b[i] == 0.0) return Status::Application("division by zero");
-            r = a[i] / b[i];
+            if (b == 0.0) return Status::Application("division by zero");
+            v = a / b;
             break;
         }
-        out->AppendFloat64(r);
+        out->AppendFloat64(v);
       }
       return Status::OK();
     }
     *out = ColumnVector::OfType(static_type_);
     out->Reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const Value a = lv.GetValue(i);
-      const Value b = rv.GetValue(i);
+      const Value a = lc.GetValue(l.row(i));
+      const Value b = rc.GetValue(r.row(i));
       if (a.is_null() || b.is_null()) {
         out->AppendNull();
         continue;
@@ -466,70 +573,43 @@ class BoundNumericCompare final : public BoundExpr {
 
   Status EvaluateVector(const ColumnBatch& in,
                         ColumnVector* out) const override {
-    ColumnVector lv;
-    ColumnVector rv;
-    SWIFT_RETURN_NOT_OK(lhs_->EvaluateVector(in, &lv));
-    SWIFT_RETURN_NOT_OK(rhs_->EvaluateVector(in, &rv));
+    Operand l;
+    Operand r;
+    SWIFT_RETURN_NOT_OK(l.Resolve(*lhs_, in));
+    SWIFT_RETURN_NOT_OK(r.Resolve(*rhs_, in));
+    const ColumnVector& lc = l.col();
+    const ColumnVector& rc = r.col();
     const std::size_t n = in.num_rows();
-    const bool l_num = lv.rep() == ColumnRep::kInt64 ||
-                       lv.rep() == ColumnRep::kFloat64;
-    const bool r_num = rv.rep() == ColumnRep::kInt64 ||
-                       rv.rep() == ColumnRep::kFloat64;
-    if (l_num && r_num) {
-      *out = ColumnVector::OfType(DataType::kInt64);
-      out->Reserve(n);
-      const bool both_int = lv.rep() == ColumnRep::kInt64 &&
-                            rv.rep() == ColumnRep::kInt64;
-      const bool no_nulls = !lv.has_nulls() && !rv.has_nulls();
+    *out = ColumnVector::OfType(DataType::kInt64);
+    out->Reserve(n);
+    if (IsNumericRep(lc.rep()) && IsNumericRep(rc.rep())) {
+      const bool both_int = lc.rep() == ColumnRep::kInt64 &&
+                            rc.rep() == ColumnRep::kInt64;
+      const bool no_nulls = !lc.has_nulls() && !rc.has_nulls();
       for (std::size_t i = 0; i < n; ++i) {
-        if (!no_nulls && (lv.IsNull(i) || rv.IsNull(i))) {
+        const std::size_t li = l.row(i);
+        const std::size_t ri = r.row(i);
+        if (!no_nulls && (lc.IsNull(li) || rc.IsNull(ri))) {
           out->AppendNull();
           continue;
         }
         int c;
         if (both_int) {
-          const int64_t a = lv.Int64At(i);
-          const int64_t b = rv.Int64At(i);
+          const int64_t a = lc.Int64At(li);
+          const int64_t b = rc.Int64At(ri);
           c = a < b ? -1 : (a > b ? 1 : 0);
         } else {
-          const double a = lv.rep() == ColumnRep::kInt64
-                               ? static_cast<double>(lv.Int64At(i))
-                               : lv.Float64At(i);
-          const double b = rv.rep() == ColumnRep::kInt64
-                               ? static_cast<double>(rv.Int64At(i))
-                               : rv.Float64At(i);
+          const double a = DoubleAt(lc, li);
+          const double b = DoubleAt(rc, ri);
           c = a < b ? -1 : (a > b ? 1 : 0);
         }
-        bool t = false;
-        switch (op_) {
-          case BinaryOp::kEq:
-            t = c == 0;
-            break;
-          case BinaryOp::kNe:
-            t = c != 0;
-            break;
-          case BinaryOp::kLt:
-            t = c < 0;
-            break;
-          case BinaryOp::kLe:
-            t = c <= 0;
-            break;
-          case BinaryOp::kGt:
-            t = c > 0;
-            break;
-          default:
-            t = c >= 0;
-            break;
-        }
-        out->AppendInt64(t ? 1 : 0);
+        out->AppendInt64(CompareHolds(op_, c) ? 1 : 0);
       }
       return Status::OK();
     }
-    *out = ColumnVector::OfType(DataType::kInt64);
-    out->Reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const Value a = lv.GetValue(i);
-      const Value b = rv.GetValue(i);
+      const Value a = lc.GetValue(l.row(i));
+      const Value b = rc.GetValue(r.row(i));
       if (a.is_null() || b.is_null()) {
         out->AppendNull();
         continue;
@@ -637,7 +717,51 @@ class BoundFunction final : public BoundExpr {
     return expr_eval::ApplyFunction(id_, name_, vals);
   }
 
+  Status EvaluateVector(const ColumnBatch& in,
+                        ColumnVector* out) const override {
+    if (id_ == FuncId::kSubstr && SubstrKernel(in, out)) return Status::OK();
+    return BoundExpr::EvaluateVector(in, out);
+  }
+
  private:
+  // Column-at-a-time substr(s, start, len) for a kString `s` and numeric
+  // literal positions, clamped exactly as ApplyFunction clamps them.
+  // Returns false, leaving `*out` to the row path, for any other shape.
+  bool SubstrKernel(const ColumnBatch& in, ColumnVector* out) const {
+    if (args_.size() != 3) return false;
+    const Value* start_v = args_[1]->literal();
+    const Value* len_v = args_[2]->literal();
+    if (start_v == nullptr || len_v == nullptr || !start_v->is_numeric() ||
+        !len_v->is_numeric()) {
+      return false;
+    }
+    Operand s;
+    if (!s.Resolve(*args_[0], in).ok() || s.rep() != ColumnRep::kString) {
+      return false;
+    }
+    int64_t start = static_cast<int64_t>(start_v->AsDouble());
+    int64_t len = static_cast<int64_t>(len_v->AsDouble());
+    if (start < 1) start = 1;
+    if (len < 0) len = 0;
+    const std::size_t pos = static_cast<std::size_t>(start - 1);
+    const ColumnVector& sc = s.col();
+    const std::size_t n = in.num_rows();
+    *out = ColumnVector::OfType(DataType::kString);
+    out->Reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t si = s.row(i);
+      if (sc.IsNull(si)) {
+        out->AppendNull();
+        continue;
+      }
+      const std::string_view v = sc.StrAt(si);
+      out->AppendString(pos >= v.size()
+                            ? std::string_view()
+                            : v.substr(pos, static_cast<std::size_t>(len)));
+    }
+    return true;
+  }
+
   FuncId id_;
   std::string name_;
   std::vector<BoundExprPtr> args_;

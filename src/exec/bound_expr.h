@@ -53,8 +53,12 @@ class BoundExpr {
   /// vector, so the output column is always dense). The base
   /// implementation materializes each row and calls Evaluate() —
   /// identical semantics for every node; column references, literals,
-  /// numeric arithmetic/comparisons, NOT and AND/OR override it with
-  /// typed column-at-a-time kernels that skip per-row boxing entirely.
+  /// numeric arithmetic/comparisons, string comparisons and LIKE,
+  /// substr, NOT and AND/OR override it with typed column-at-a-time
+  /// kernels that skip per-row boxing entirely (literals are read as
+  /// scalars and plain column operands in place). The string and substr
+  /// kernels only take operand shapes that cannot fail; every other
+  /// shape runs the base row path.
   ///
   /// Error parity caveat: on batches where evaluation fails, the row
   /// path reports the error of the first failing ROW while the

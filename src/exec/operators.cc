@@ -1,7 +1,12 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string_view>
+#include <utility>
 
 #include "common/hash64.h"
 #include "common/macros.h"
@@ -203,6 +208,229 @@ class KeyColumns {
   bool computed_ = false;
   ColumnBatch evaluated_;
   const ColumnBatch* input_ = nullptr;
+};
+
+// Order-preserving uint64 code of a numeric cell: int64 with the sign
+// bit flipped, float64 in IEEE order with -0.0 folded into 0.0.
+uint64_t NumericCode(const ColumnVector& c, std::size_t i) {
+  if (c.rep() == ColumnRep::kInt64) {
+    return static_cast<uint64_t>(c.Int64At(i)) ^ (uint64_t{1} << 63);
+  }
+  double v = c.Float64At(i);
+  if (v == 0.0) v = 0.0;  // -0.0 and 0.0 compare equal
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+// Sorts physical row indices by key columns in the order a stable sort
+// by CompareCells (negated for DESC keys) gives (DESIGN.md Sec. 19).
+// The keys are packed, leading key first, into one order-preserving
+// uint64 code per row, so most comparisons are one integer compare:
+//  - int64 / float64 without NaN: the cell's NumericCode minus the
+//    column's lowest, in as many bits as the column's span needs;
+//  - string: the bytes after the prefix all the column's cells share,
+//    big-endian and zero-padded (unsigned byte order), then their
+//    count, when every cell's rest is at most 8 bytes and fits; else
+//    the 8 (or fewer) leading bytes that fit, which end the code;
+//  - all-NULL column: no bits.
+// A NULL cell is 0, below every value, in a column that has NULLs; a
+// DESC key's field is inverted. A key that does not fit is cut to its
+// high bits and ends the code, as does a kBoxed column or a float64
+// holding NaN (which CompareCells finds equal to everything), which
+// gets no bits. Rows whose codes tie compare with CompareCells from the
+// first key the code does not hold whole; rows still equal keep their
+// input order.
+class RowSorter {
+ public:
+  // Over `keys`, resolved in `cols` against a dense batch.
+  RowSorter(const KeyColumns& cols, const std::vector<SortKey>& keys) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      cols_.push_back(&cols.column(k));
+      asc_.push_back(keys[k].ascending);
+    }
+    int free = 64;
+    for (std::size_t k = 0; k < cols_.size() && free > 0; ++k) {
+      const ColumnVector& c = *cols_[k];
+      if (c.rep() == ColumnRep::kNull) {  // every cell ties
+        resolved_ = k + 1;
+        continue;
+      }
+      KeyBits f;
+      f.key = k;
+      f.nullable = c.has_nulls();
+      const int null_bit = f.nullable ? 1 : 0;
+      if (c.rep() == ColumnRep::kString) {
+        std::size_t longest = 0;
+        StringShape(c, &f.prefix, &longest);
+        const std::size_t rest = longest - f.prefix;
+        const int len_bits = std::bit_width(rest);
+        // Whole: every cell's bytes after the prefix, zero-padded, then
+        // their count order the cells exactly. Otherwise the leading
+        // bytes that fit, and the key ends the code.
+        const bool whole =
+            rest <= 8 &&
+            8 * static_cast<int>(rest) + len_bits + null_bit <= free;
+        f.bytes = whole ? static_cast<int>(rest)
+                        : std::min(8, (free - null_bit) / 8);
+        f.len_bits = whole ? len_bits : 0;
+        f.bits = 8 * f.bytes + f.len_bits + null_bit;
+        if (!whole) {
+          if (f.bytes > 0) fields_.push_back(f);
+          break;
+        }
+        fields_.push_back(f);
+        free -= f.bits;
+        resolved_ = k + 1;
+        continue;
+      }
+      uint64_t span = 0;
+      if (!NumericSpan(c, &f.base, &span)) break;
+      // Field values run 0..span, or 0 (NULL) and 1..span+1.
+      const int need = f.nullable && span == UINT64_MAX
+                           ? 65
+                           : std::bit_width(span + null_bit);
+      f.bits = std::min(need, free);
+      f.drop = need - f.bits;
+      free -= f.bits;
+      fields_.push_back(f);
+      if (f.drop > 0) break;
+      resolved_ = k + 1;
+    }
+  }
+
+  // Sorts `rows`, which must hold distinct row indices in ascending
+  // order (the input order a stable sort keeps among equal keys).
+  void Sort(std::vector<uint32_t>* rows) const {
+    if (cols_.empty()) return;
+    const std::size_t n = rows->size();
+    std::vector<std::pair<uint64_t, uint32_t>> entries(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      entries[i] = {Code((*rows)[i]), (*rows)[i]};
+    }
+    if (resolved_ == cols_.size()) {
+      // The code is the whole order; the row index breaks ties.
+      std::sort(entries.begin(), entries.end());
+    } else {
+      // Stable: equal keys keep their ascending row order, and
+      // CompareCells over NaN (not a strict weak order) answers exactly
+      // as it did for a plain stable sort of the rows.
+      std::stable_sort(entries.begin(), entries.end(),
+                       [this](const std::pair<uint64_t, uint32_t>& a,
+                              const std::pair<uint64_t, uint32_t>& b) {
+                         if (a.first != b.first) return a.first < b.first;
+                         return CompareTail(a.second, b.second) < 0;
+                       });
+    }
+    for (std::size_t i = 0; i < n; ++i) (*rows)[i] = entries[i].second;
+  }
+
+ private:
+  // One key's bits in the code.
+  struct KeyBits {
+    std::size_t key = 0;
+    bool nullable = false;
+    int bits = 0;
+    uint64_t base = 0;        // numeric: lowest NumericCode
+    int drop = 0;             // numeric: low bits cut off to fit
+    std::size_t prefix = 0;   // string: bytes every cell shares
+    int bytes = 0;            // string: bytes taken after the prefix
+    int len_bits = 0;         // string: bits of their count (0: cut)
+  };
+
+  // Lowest NumericCode and span of the column's non-null cells; false
+  // for a column the codes cannot order.
+  static bool NumericSpan(const ColumnVector& c, uint64_t* base,
+                          uint64_t* span) {
+    if (c.rep() != ColumnRep::kInt64 && c.rep() != ColumnRep::kFloat64) {
+      return false;
+    }
+    uint64_t lo = UINT64_MAX;
+    uint64_t hi = 0;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (c.IsNull(i)) continue;
+      if (c.rep() == ColumnRep::kFloat64 && std::isnan(c.Float64At(i))) {
+        return false;
+      }
+      const uint64_t code = NumericCode(c, i);
+      lo = std::min(lo, code);
+      hi = std::max(hi, code);
+    }
+    *base = lo <= hi ? lo : 0;
+    *span = lo <= hi ? hi - lo : 0;
+    return true;
+  }
+
+  // Length of the prefix all non-null cells of a string column share,
+  // and of the longest cell (both 0 when every cell is NULL).
+  static void StringShape(const ColumnVector& c, std::size_t* prefix,
+                          std::size_t* longest) {
+    std::string_view first;
+    bool seen = false;
+    *prefix = 0;
+    *longest = 0;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      if (c.IsNull(i)) continue;
+      const std::string_view s = c.StrAt(i);
+      *longest = std::max(*longest, s.size());
+      if (!seen) {
+        first = s;
+        *prefix = s.size();
+        seen = true;
+        continue;
+      }
+      const std::size_t n = std::min(*prefix, s.size());
+      *prefix = static_cast<std::size_t>(
+          std::mismatch(s.begin(), s.begin() + n, first.begin()).first -
+          s.begin());
+    }
+  }
+
+  uint64_t Code(uint32_t row) const {
+    unsigned __int128 code = 0;
+    for (const KeyBits& f : fields_) {
+      const ColumnVector& c = *cols_[f.key];
+      unsigned __int128 x = 0;
+      if (!c.IsNull(row)) {
+        if (c.rep() == ColumnRep::kString) {
+          const std::string_view s = c.StrAt(row).substr(f.prefix);
+          uint64_t w = 0;
+          for (int i = 0; i < f.bytes; ++i) {
+            const std::size_t j = static_cast<std::size_t>(i);
+            w = (w << 8) | (j < s.size() ? static_cast<uint8_t>(s[j]) : 0u);
+          }
+          x = w;
+          if (f.len_bits > 0) x = (x << f.len_bits) | s.size();
+          if (f.nullable) {
+            x |= static_cast<unsigned __int128>(1)
+                 << (8 * f.bytes + f.len_bits);
+          }
+        } else {
+          x = static_cast<unsigned __int128>(NumericCode(c, row) - f.base) +
+              (f.nullable ? 1 : 0);
+          x >>= f.drop;
+        }
+      }
+      const unsigned __int128 mask =
+          (static_cast<unsigned __int128>(1) << f.bits) - 1;
+      if (!asc_[f.key]) x = mask - x;
+      code = (code << f.bits) | x;
+    }
+    return static_cast<uint64_t>(code);
+  }
+
+  int CompareTail(uint32_t a, uint32_t b) const {
+    for (std::size_t k = resolved_; k < cols_.size(); ++k) {
+      const int c = CompareCells(*cols_[k], a, *cols_[k], b);
+      if (c != 0) return asc_[k] ? c : -c;
+    }
+    return 0;
+  }
+
+  std::vector<const ColumnVector*> cols_;
+  std::vector<bool> asc_;
+  std::vector<KeyBits> fields_;
+  std::size_t resolved_ = 0;  // keys [0, resolved_) are whole in the code
 };
 
 // Marks a NULL-padded right side in a join's index pairs (left outer).
@@ -628,9 +856,9 @@ class MergeJoinOp final : public BlockingOperator {
   KeyColumns rk_;
 };
 
-// Drains dense, stable-sorts an index permutation with typed cell
-// comparisons, and emits the input storage UNCHANGED under a selection
-// vector — the sorted batch is a permutation view, zero gathers.
+// Drains dense, sorts an index permutation with RowSorter, and emits the
+// input storage UNCHANGED under a selection vector — the sorted batch is
+// a permutation view, zero gathers.
 class SortOp final : public BlockingOperator {
  public:
   SortOp(OperatorPtr child, std::vector<SortKey> keys)
@@ -656,15 +884,7 @@ class SortOp final : public BlockingOperator {
     SWIFT_RETURN_NOT_OK(key_cols_.Resolve(in));
     std::vector<uint32_t> perm(in.physical_rows);
     std::iota(perm.begin(), perm.end(), 0u);
-    std::stable_sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-      for (std::size_t k = 0; k < keys_.size(); ++k) {
-        const ColumnVector& c = key_cols_.column(k);
-        int cmp = CompareCells(c, a, c, b);
-        if (!keys_[k].ascending) cmp = -cmp;
-        if (cmp != 0) return cmp < 0;
-      }
-      return false;
-    });
+    RowSorter(key_cols_, keys_).Sort(&perm);
     in.selection = std::move(perm);
     return in;
   }
@@ -996,7 +1216,7 @@ class WindowOp final : public BlockingOperator {
     // sort), then order the groups by key and sort only within each
     // group — the same order as one global stable sort.
     FlatKeyTable table;
-    std::vector<std::vector<std::size_t>> groups;  // dense -> row idxs
+    std::vector<std::vector<uint32_t>> groups;     // dense -> row idxs
     std::vector<std::size_t> group_first;          // dense -> first row
     KeyEncoder::BatchKeys bk;
     part_.ForEachEncoded(&bk, [&](std::size_t i, std::string_view bytes,
@@ -1007,7 +1227,7 @@ class WindowOp final : public BlockingOperator {
         groups.emplace_back();
         group_first.push_back(i);
       }
-      groups[fr.index].push_back(i);
+      groups[fr.index].push_back(static_cast<uint32_t>(i));
     });
     std::vector<uint32_t> gorder(groups.size());
     std::iota(gorder.begin(), gorder.end(), 0u);
@@ -1017,16 +1237,7 @@ class WindowOp final : public BlockingOperator {
       return a < b;  // tie across distinct encodings: first-seen order
     });
 
-    auto cmp_order = [&](std::size_t a, std::size_t b) {
-      for (std::size_t k = 0; k < order_by_.size(); ++k) {
-        const ColumnVector& c = order_.column(k);
-        int oc = CompareCells(c, a, c, b);
-        if (!order_by_[k].ascending) oc = -oc;
-        if (oc != 0) return oc;
-      }
-      return 0;
-    };
-
+    const RowSorter sorter(order_, order_by_);
     std::vector<uint32_t> emit_order;
     emit_order.reserve(n);
     std::vector<int64_t> win_i64;
@@ -1037,12 +1248,8 @@ class WindowOp final : public BlockingOperator {
       win_i64.resize(n);
     }
     for (const uint32_t g : gorder) {
-      std::vector<std::size_t>& idxs = groups[g];
-      // Stable: rows with equal order keys keep input order.
-      std::stable_sort(idxs.begin(), idxs.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return cmp_order(a, b) < 0;
-                       });
+      std::vector<uint32_t>& idxs = groups[g];
+      sorter.Sort(&idxs);  // rows with equal order keys keep input order
       int64_t row_number = 0;
       int64_t rank = 0;
       double running_sum = 0.0;

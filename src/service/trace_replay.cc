@@ -79,6 +79,8 @@ Result<TraceReplayReport> ReplayTrace(JobService* service,
       report.completed += 1;
       report.completed_by_tenant[i.tenant] += 1;
       report.latencies_s.push_back(out.latency_s);
+      report.shuffle_bytes += out.report.stats.shuffle.bytes_transferred;
+      report.shuffle_reads += out.report.stats.shuffle.reads;
     } else {
       report.failed += 1;
     }

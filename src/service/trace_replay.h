@@ -47,6 +47,10 @@ struct TraceReplayReport {
   double latency_p999 = 0.0;
   std::map<std::string, int> submitted_by_tenant;
   std::map<std::string, int> completed_by_tenant;
+  /// Each completed job's own shuffle counters (its report's
+  /// stats.shuffle), summed.
+  int64_t shuffle_bytes = 0;
+  int64_t shuffle_reads = 0;
 };
 
 /// \brief Runs the replay to completion (drains every admitted job).

@@ -289,11 +289,15 @@ TEST(ObsInvariant, ThreadPoolTasksSubmittedEqualsCompleted) {
 // across the whole run: every submission is accounted for exactly once
 // (completed, failed, or rejected), shuffle byte conservation holds
 // across hundreds of interleaved jobs, task dispatch accounting stays
-// exact, and the thread pool ends the run with nothing in flight.
+// exact, per-job shuffle counters sum to the service totals, and the
+// thread pool ends the run with nothing in flight.
 TEST(ObsInvariant, ServiceTraceReplaySoakKeepsBooksBalanced) {
   obs::MetricsRegistry reg;
   obs::TraceRecorder tracer;
   TraceReplayReport replay;
+  ShuffleServiceStats service_shuffle;
+  int64_t flood_shuffle_bytes = 0;
+  int64_t flood_shuffle_reads = 0;
   constexpr int kJobs = 240;
   {
     JobServiceConfig cfg;
@@ -342,9 +346,23 @@ TEST(ObsInvariant, ServiceTraceReplaySoakKeepsBooksBalanced) {
       }
     }
     EXPECT_GT(flood_rejected, 0) << "flood never hit admission control";
-    for (const auto& t : flood) t->Wait();
+    for (const auto& t : flood) {
+      const JobOutcome& out = t->Wait();
+      ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+      flood_shuffle_bytes += out.report.stats.shuffle.bytes_transferred;
+      flood_shuffle_reads += out.report.stats.shuffle.reads;
+    }
     service.Drain();
+    service_shuffle = service.runtime()->shuffle_service()->stats();
   }  // service destroyed: drivers joined, runtime pool joined
+
+  // Per-job shuffle books: every job's own counters (ShuffleService::
+  // job_stats, carried in its report) sum to the service-wide totals
+  // across hundreds of interleaved jobs.
+  EXPECT_GT(service_shuffle.bytes_transferred, 0);
+  EXPECT_EQ(replay.shuffle_bytes + flood_shuffle_bytes,
+            service_shuffle.bytes_transferred);
+  EXPECT_EQ(replay.shuffle_reads + flood_shuffle_reads, service_shuffle.reads);
 
   // The replay itself: every trace job ran, across all four tenants.
   EXPECT_EQ(replay.submitted, kJobs);

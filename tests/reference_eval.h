@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash64.h"
@@ -95,13 +96,14 @@ inline Batch Concat(const Schema& schema, const std::vector<Batch>& parts) {
   return out;
 }
 
-inline Batch Sort(const Batch& in, const std::vector<SortKey>& keys) {
-  std::vector<ExprPtr> exprs;
-  for (const SortKey& k : keys) exprs.push_back(k.expr);
-  const std::vector<BoundExprPtr> bound = BindOrDie(exprs, in.schema);
-  std::vector<std::pair<Row, Row>> rows;  // (sort key, row)
-  for (const Row& r : in.rows) rows.emplace_back(EvalRow(bound, r), r);
-  std::stable_sort(rows.begin(), rows.end(),
+// The ORDER BY reference: a stable sort of (sort key, payload) pairs by
+// Value::Compare key by key, negated for DESC keys. Sort and Window's
+// per-partition ordering must reproduce its order exactly, ties
+// included.
+template <typename Payload>
+void StableSortByKeys(std::vector<std::pair<Row, Payload>>* rows,
+                      const std::vector<SortKey>& keys) {
+  std::stable_sort(rows->begin(), rows->end(),
                    [&](const auto& a, const auto& b) {
                      for (std::size_t k = 0; k < keys.size(); ++k) {
                        int c = a.first[k].Compare(b.first[k]);
@@ -110,6 +112,15 @@ inline Batch Sort(const Batch& in, const std::vector<SortKey>& keys) {
                      }
                      return false;
                    });
+}
+
+inline Batch Sort(const Batch& in, const std::vector<SortKey>& keys) {
+  std::vector<ExprPtr> exprs;
+  for (const SortKey& k : keys) exprs.push_back(k.expr);
+  const std::vector<BoundExprPtr> bound = BindOrDie(exprs, in.schema);
+  std::vector<std::pair<Row, Row>> rows;  // (sort key, row)
+  for (const Row& r : in.rows) rows.emplace_back(EvalRow(bound, r), r);
+  StableSortByKeys(&rows, keys);
   Batch out;
   out.schema = in.schema;
   for (auto& kr : rows) out.rows.push_back(std::move(kr.second));
@@ -286,15 +297,7 @@ inline Batch Window(const Batch& in, const std::vector<ExprPtr>& partition_by,
     for (const std::size_t i : parts[g]) {
       rows.emplace_back(EvalRow(ob, in.rows[i]), i);
     }
-    std::stable_sort(rows.begin(), rows.end(),
-                     [&](const auto& a, const auto& b) {
-                       for (std::size_t k = 0; k < order_by.size(); ++k) {
-                         int c = a.first[k].Compare(b.first[k]);
-                         if (!order_by[k].ascending) c = -c;
-                         if (c != 0) return c < 0;
-                       }
-                       return false;
-                     });
+    StableSortByKeys(&rows, order_by);
     int64_t rank = 0;
     double running_sum = 0.0;
     for (std::size_t j = 0; j < rows.size(); ++j) {
