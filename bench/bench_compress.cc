@@ -1,8 +1,9 @@
 // Compressed shuffle plane benchmark (DESIGN.md Sec. 17 / BENCH_PR10):
 //
 //   1. SWZ1 codec throughput + ratio on real TPC-H shuffle payloads
-//      (SerializeBatch wire bytes of each table) and on incompressible
-//      noise (raw-fallback overhead). Best-of-N wall timing.
+//      (SerializeColumnBatch wire bytes of each table) and on
+//      incompressible noise (raw-fallback overhead). Best-of-N wall
+//      timing.
 //   2. Before/after end-to-end pair: the same TPC-H sort job over a
 //      forced-Remote fabric with the compressed plane OFF vs ON —
 //      shuffle bytes moved, spill bytes stored, wall time, and a
@@ -44,7 +45,7 @@ std::string TableWire(const std::shared_ptr<Table>& t) {
   Batch b;
   b.schema = t->schema;
   b.rows = t->rows;
-  return SerializeBatch(b);
+  return SerializeColumnBatch(*ToColumnBatch(b));
 }
 
 void CodecRow(const std::string& name, const std::string& wire) {
@@ -98,7 +99,7 @@ E2E RunTpchSort(double sf, bool compression, int64_t cache_budget) {
   out.wall_ms = std::chrono::duration<double>(t1 - t0).count() * 1e3;
   out.shuffle_bytes = report->stats.shuffle.bytes_transferred;
   out.compressed_writes = report->stats.shuffle.compressed_writes;
-  out.result_bytes = SerializeBatch(report->result);
+  out.result_bytes = SerializeColumnBatch(*ToColumnBatch(report->result));
   return out;
 }
 

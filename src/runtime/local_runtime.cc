@@ -118,9 +118,7 @@ LocalRuntime::LocalRuntime(LocalRuntimeConfig config)
   sc.put_wait_ms = config_.shuffle_put_wait_ms;
   sc.spill_io_retries = config_.spill_io_retries;
   sc.compression = config_.shuffle_compression;
-  sc.compress_min_bytes = config_.shuffle_compress_min_bytes;
   sc.spill_compression = config_.shuffle_compression;
-  sc.spill_compress_min_bytes = config_.shuffle_compress_min_bytes;
   sc.replica_fanout = config_.shuffle_replica_fanout;
   sc.load_aware_placement = config_.shuffle_load_aware_placement;
   sc.metrics = config_.metrics;

@@ -56,13 +56,12 @@ struct LocalRuntimeConfig {
   int shuffle_put_retry_budget = 64;
   double shuffle_put_wait_ms = 2.0;
   /// Compressed shuffle plane (DESIGN.md Sec. 17). Barrier edges
-  /// (Remote, and Local when not pipelined) at least
-  /// shuffle_compress_min_bytes long ship as CRC-framed SWZ1 frames
+  /// (Remote, and Local when not pipelined) at least kCompressMinBytes
+  /// (shuffle/shuffle_mode.h) long ship as CRC-framed SWZ1 frames
   /// when that shrinks them; readers auto-detect the frame magic, so
   /// the knob is writer-side only. Spill files compress under the same
   /// rule and charge the disk budget at stored (compressed) size.
   bool shuffle_compression = true;
-  int64_t shuffle_compress_min_bytes = 4096;
   /// Write-side replica fan-out for worker-held partitions: each write
   /// also lands on replica_fanout - 1 other live workers (least-loaded
   /// when load-aware, else round-robin), so single-machine failure

@@ -13,6 +13,7 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "fault/fault_injector.h"
+#include "shuffle/shuffle_mode.h"
 
 namespace swift {
 
@@ -369,7 +370,7 @@ Status CacheWorker::SpillLocked(const ShuffleSlotKey& key, Slot* slot) {
   std::string compressed;
   bool spill_compressed = false;
   if (options_.spill_compression &&
-      slot->size >= options_.spill_compress_min_bytes &&
+      slot->size >= kCompressMinBytes &&
       !IsCompressedFrame(slot->buffer.view())) {
     compressed = CompressFrame(slot->buffer.view());
     spill_compressed =

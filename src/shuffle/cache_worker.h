@@ -94,14 +94,13 @@ struct CacheWorkerOptions {
   /// Transient spill write/read IO errors are retried in place this many
   /// times before the error is treated as permanent.
   int spill_io_retries = 3;
-  /// Spill-time compression: slots at least spill_compress_min_bytes
-  /// whose payload is not already a compressed frame go to disk as one
+  /// Spill-time compression: slots at least kCompressMinBytes
+  /// (shuffle/shuffle_mode.h) whose payload is not already a compressed frame go to disk as one
   /// (common/compress.h) when the frame shrinks the payload. The disk
   /// budget and spill_disk_in_use charge the stored (compressed) size;
   /// reload CRC-verifies the file, decompresses, and re-admits the
   /// original bytes — callers always see the bytes they stored.
   bool spill_compression = true;
-  int64_t spill_compress_min_bytes = 4096;
   /// Optional registry (not owned); all workers of one service share the
   /// same counters, so registry values are cluster-wide aggregates.
   obs::MetricsRegistry* metrics = nullptr;

@@ -60,4 +60,12 @@ int ExtraMemoryCopies(ShuffleKind kind) {
   return 0;
 }
 
+bool CompressesEdge(ShuffleKind kind, bool pipelined, double payload_bytes) {
+  const bool barrier_edge =
+      kind == ShuffleKind::kRemote ||
+      (kind == ShuffleKind::kLocal && !pipelined);
+  return barrier_edge &&
+         payload_bytes >= static_cast<double>(kCompressMinBytes);
+}
+
 }  // namespace swift

@@ -49,6 +49,17 @@ int64_t ShuffleConnections(ShuffleKind kind, int64_t producers,
 /// 0, Remote 1, Local 2.
 int ExtraMemoryCopies(ShuffleKind kind);
 
+/// \brief Smallest payload worth compressing: below it the frame header
+/// and codec setup cost about what they save. The shuffle writer, Cache
+/// Worker spills and the simulator's CompressionModel all use it.
+constexpr int64_t kCompressMinBytes = 4096;
+
+/// \brief The per-edge compression rule (DESIGN.md Sec. 17): barrier
+/// edges — Remote always, Local when the reader pulls later rather than
+/// being pipelined — whose payload is at least kCompressMinBytes. Direct
+/// hops and pipeline pushes are consumed at once and ship raw.
+bool CompressesEdge(ShuffleKind kind, bool pipelined, double payload_bytes);
+
 }  // namespace swift
 
 #endif  // SWIFT_SHUFFLE_SHUFFLE_MODE_H_

@@ -53,7 +53,6 @@ ShuffleService::ShuffleService(Config config) : config_(std::move(config)) {
     wo.spill_disk_budget_bytes = config_.spill_disk_budget_bytes;
     wo.spill_io_retries = config_.spill_io_retries;
     wo.spill_compression = config_.spill_compression;
-    wo.spill_compress_min_bytes = config_.spill_compress_min_bytes;
     wo.metrics = config_.metrics;
     workers_.push_back(std::make_unique<CacheWorker>(std::move(wo)));
   }
@@ -193,16 +192,10 @@ Result<ShuffleBuffer> ShuffleService::CountRead(ShuffleKind kind,
 ShuffleBuffer ShuffleService::MaybeCompress(JobId job, ShuffleKind kind,
                                             bool pipelined,
                                             ShuffleBuffer buffer) {
-  // Per-edge negotiation: compression pays on barrier edges (Remote
-  // always; Local when the reader pulls later), never on Direct hops or
-  // pipeline pushes where the bytes are consumed immediately, and never
-  // on payloads too small to amortize the frame. Payloads that are
-  // already framed (a task re-writing fetched bytes) pass through.
-  const bool barrier_edge =
-      kind == ShuffleKind::kRemote ||
-      (kind == ShuffleKind::kLocal && !pipelined);
-  if (!config_.compression || !barrier_edge ||
-      static_cast<int64_t>(buffer.size()) < config_.compress_min_bytes ||
+  // Per-edge negotiation (CompressesEdge). Payloads that are already
+  // framed (a task re-writing fetched bytes) pass through.
+  if (!config_.compression ||
+      !CompressesEdge(kind, pipelined, static_cast<double>(buffer.size())) ||
       IsCompressedFrame(buffer.view())) {
     return buffer;
   }

@@ -114,24 +114,23 @@ class ShuffleService {
     /// Pin shuffle data until RemoveJob instead of freeing on first read
     /// (enables fine-grained failure recovery re-reads).
     bool retain_for_recovery = true;
-    /// Compressed shuffle plane (DESIGN.md Sec. 17). Barrier edges —
-    /// Remote, and Local when not pipelined — whose payload is at least
-    /// compress_min_bytes go out as a CompressFrame (common/compress.h)
-    /// when the frame actually shrinks the payload; Direct edges,
-    /// pipeline pushes, and small payloads ship raw. Readers need no
+    /// Compressed shuffle plane (DESIGN.md Sec. 17). Edges that
+    /// CompressesEdge (shuffle/shuffle_mode.h) admits — barrier edges
+    /// with payloads of at least kCompressMinBytes — go out as a
+    /// CompressFrame (common/compress.h) when the frame actually
+    /// shrinks the payload; Direct edges, pipeline pushes, and small
+    /// payloads ship raw. Readers need no
     /// negotiation: serde dispatches on the frame magic. All byte
     /// accounting (bytes_transferred, per-mode counters, Cache Worker
     /// budgets, conservation laws) sees the framed size — compressed
     /// bytes ARE the wire/resident bytes.
     bool compression = true;
-    int64_t compress_min_bytes = 4096;
     /// Cache Workers spill compressed (same codec/frame) when the slot
-    /// payload is at least spill_compress_min_bytes and is not already
-    /// a frame; the disk budget and spill gauges charge the stored
+    /// payload is at least kCompressMinBytes and is not already a
+    /// frame; the disk budget and spill gauges charge the stored
     /// (compressed) bytes. Reload verifies the footer CRC over the
     /// stored bytes, then decodes back to the original payload.
     bool spill_compression = true;
-    int64_t spill_compress_min_bytes = 4096;
     /// Extra write-side replicas for worker-held (Local/Remote)
     /// partitions: each write lands on the writer's worker plus up to
     /// replica_fanout - 1 other live workers, so FailMachine costs no

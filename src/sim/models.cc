@@ -117,9 +117,8 @@ double TaskModel::ProcessTime(double input_bytes_per_task,
 
 bool CompressionModel::Applies(ShuffleKind kind, double bytes,
                                double partitions) const {
-  if (!enabled || kind == ShuffleKind::kDirect) return false;
-  const double per_partition = bytes / std::max(1.0, partitions);
-  return per_partition >= min_edge_bytes;
+  return enabled && CompressesEdge(kind, /*pipelined=*/false,
+                                   bytes / std::max(1.0, partitions));
 }
 
 double CompressionModel::WireBytes(ShuffleKind kind, double bytes,

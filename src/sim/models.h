@@ -96,15 +96,14 @@ struct CompressionModel {
   /// measure well under 0.5 with the in-tree SWZ1 codec (EXPERIMENTS.md
   /// compression table); 0.5 is a conservative cross-workload default.
   double ratio = 0.5;
-  /// Mirror of ShuffleService::Config::compress_min_bytes: edges whose
-  /// mean per-partition payload is below this ship raw.
-  double min_edge_bytes = 4096.0;
   /// Codec throughput per machine (bytes/s of uncompressed payload),
   /// calibrated by bench_compress.
   double compress_bw = 300.0e6;
   double decompress_bw = 1.0e9;
 
-  /// \brief Whether this edge's payloads get framed.
+  /// \brief Whether this edge's payloads get framed: the runtime's rule
+  /// (CompressesEdge) on the mean per-partition payload, with every
+  /// simulated edge a barrier (never pipelined).
   bool Applies(ShuffleKind kind, double bytes, double partitions) const;
   /// \brief Bytes that actually cross the fabric for this edge.
   double WireBytes(ShuffleKind kind, double bytes, double partitions) const;

@@ -7,7 +7,8 @@
 //  2. Every operator agrees with the test-only reference evaluator
 //     (tests/reference_eval.h): filter, project, limit, hash aggregate,
 //     hash join, hash partition; and the columnar shuffle serde emits
-//     the row serializer's exact bytes.
+//     the exact bytes of the test-only row writer
+//     (tests/reference_serde.h).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "exec/operators.h"
 #include "exec/serde.h"
 #include "reference_eval.h"
+#include "reference_serde.h"
 
 namespace swift {
 namespace {
@@ -150,42 +152,44 @@ TEST_P(ColumnarPropertyTest, SerializeColumnBatchMatchesRowSerializer) {
     Batch b = RandomUniformBatch(GetParam(), deviant);
     Result<ColumnBatch> cb = ToColumnBatch(b);
     ASSERT_TRUE(cb.ok()) << cb.status().ToString();
-    // Byte identity is the wire-compat contract: mixed row/columnar
-    // fleets must produce indistinguishable shuffle payloads.
-    EXPECT_EQ(SerializeColumnBatch(*cb), SerializeBatch(b));
+    // Byte identity with the reference writer pins the wire format: the
+    // columnar encoder may not drift from it on any input.
+    EXPECT_EQ(SerializeColumnBatch(*cb), ref::SerializeBatch(b));
   }
 }
 
+// The decoder inverts the reference writer: decoding its bytes gives
+// the original batch bit for bit, and re-encoding the decoded columns
+// (kBoxed where a column was tagged) reproduces the bytes.
 TEST_P(ColumnarPropertyTest, DeserializeColumnBatchMatchesRowDecoder) {
   Batch b = RandomUniformBatch(GetParam(), /*deviant=*/true);
-  const std::string bytes = SerializeBatch(b);
+  const std::string bytes = ref::SerializeBatch(b);
   Result<ColumnBatch> cb = DeserializeColumnBatch(bytes);
   ASSERT_TRUE(cb.ok()) << cb.status().ToString();
-  Result<Batch> rows = DeserializeBatch(bytes);
-  ASSERT_TRUE(rows.ok());
-  ExpectBatchesBitEq(ToRowBatch(*cb), *rows);
-  // And re-encoding the columnar decode reproduces the buffer.
+  ExpectBatchesBitEq(ToRowBatch(*cb), b);
   EXPECT_EQ(SerializeColumnBatch(*cb), bytes);
 }
 
 TEST_P(ColumnarPropertyTest, SelectionAwareSerialization) {
-  Batch b = RandomUniformBatch(GetParam(), /*deviant=*/false);
-  Result<ColumnBatch> cb = ToColumnBatch(b);
-  ASSERT_TRUE(cb.ok()) << cb.status().ToString();
-  // Keep every other physical row, in order.
-  std::vector<uint32_t> sel;
-  for (std::size_t i = 0; i < cb->physical_rows; i += 2) {
-    sel.push_back(static_cast<uint32_t>(i));
+  for (const bool deviant : {false, true}) {
+    Batch b = RandomUniformBatch(GetParam(), deviant);
+    Result<ColumnBatch> cb = ToColumnBatch(b);
+    ASSERT_TRUE(cb.ok()) << cb.status().ToString();
+    // Keep every other physical row, in order.
+    std::vector<uint32_t> sel;
+    for (std::size_t i = 0; i < cb->physical_rows; i += 2) {
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+    cb->selection = std::move(sel);
+    Batch gathered = ToRowBatch(*cb);
+    EXPECT_EQ(gathered.num_rows(), cb->num_rows());
+    EXPECT_EQ(SerializeColumnBatch(*cb), ref::SerializeBatch(gathered));
+    // Flatten() drops the selection without changing logical contents.
+    ColumnBatch flat = *cb;
+    flat.Flatten();
+    EXPECT_FALSE(flat.selection.has_value());
+    ExpectBatchesBitEq(ToRowBatch(flat), gathered);
   }
-  cb->selection = std::move(sel);
-  Batch gathered = ToRowBatch(*cb);
-  EXPECT_EQ(gathered.num_rows(), cb->num_rows());
-  EXPECT_EQ(SerializeColumnBatch(*cb), SerializeBatch(gathered));
-  // Flatten() drops the selection without changing logical contents.
-  ColumnBatch flat = *cb;
-  flat.Flatten();
-  EXPECT_FALSE(flat.selection.has_value());
-  ExpectBatchesBitEq(ToRowBatch(flat), gathered);
 }
 
 // Drains concatenate their input morsels with ConcatColumnBatches. Many
@@ -268,8 +272,8 @@ TEST(ColumnarEdgeTest, SpecialFloatsAndStringsRoundTrip) {
   Result<ColumnBatch> cb = ToColumnBatch(b);
   ASSERT_TRUE(cb.ok());
   ExpectBatchesBitEq(ToRowBatch(*cb), b);
-  EXPECT_EQ(SerializeColumnBatch(*cb), SerializeBatch(b));
-  Result<ColumnBatch> back = DeserializeColumnBatch(SerializeBatch(b));
+  EXPECT_EQ(SerializeColumnBatch(*cb), ref::SerializeBatch(b));
+  Result<ColumnBatch> back = DeserializeColumnBatch(ref::SerializeBatch(b));
   ASSERT_TRUE(back.ok());
   ExpectBatchesBitEq(ToRowBatch(*back), b);
 }
@@ -281,7 +285,7 @@ TEST(ColumnarEdgeTest, NearMemcpyDecodeProducesTypedColumns) {
   for (int64_t r = 0; r < 100; ++r) {
     b.rows.push_back({Value(r), Value(static_cast<double>(r) * 0.5)});
   }
-  Result<ColumnBatch> cb = DeserializeColumnBatch(SerializeBatch(b));
+  Result<ColumnBatch> cb = DeserializeColumnBatch(ref::SerializeBatch(b));
   ASSERT_TRUE(cb.ok());
   // No nulls: decode must land in contiguous typed storage, not boxes.
   ASSERT_EQ(cb->columns.size(), 2u);
@@ -290,6 +294,85 @@ TEST(ColumnarEdgeTest, NearMemcpyDecodeProducesTypedColumns) {
   EXPECT_FALSE(cb->columns[0].has_nulls());
   EXPECT_EQ(cb->columns[0].Int64At(99), 99);
   EXPECT_EQ(cb->columns[1].Float64At(99), 49.5);
+}
+
+// Columns whose representation deviates from their field are encoded
+// cell by cell, by the reference writer's rule: typed when every
+// non-null cell has the field's type, tagged otherwise.
+ColumnBatch DeviantRepBatch() {
+  Batch b;
+  b.schema = Schema({{"boxed", DataType::kInt64},
+                     {"retyped", DataType::kFloat64},
+                     {"plain", DataType::kString}});
+  for (int64_t r = 0; r < 21; ++r) {
+    b.rows.push_back({r % 5 == 0 ? Value::Null() : Value(r * 1000003),
+                      Value::Null(), Value("s" + std::to_string(r))});
+  }
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  EXPECT_TRUE(cb.ok()) << cb.status().ToString();
+  // Field 0: a kBoxed column whose cells are all int64 or NULL.
+  cb->columns[0].Boxify();
+  // Field 1: a kInt64 column under a kFloat64 field, NULL on odd rows.
+  ColumnVector retyped = ColumnVector::OfRep(ColumnRep::kInt64);
+  for (int64_t r = 0; r < 21; ++r) {
+    if (r % 2 == 1) {
+      retyped.AppendNull();
+    } else {
+      retyped.AppendInt64(-r);
+    }
+  }
+  cb->columns[1] = std::move(retyped);
+  return *std::move(cb);
+}
+
+TEST(ColumnarEdgeTest, BoxedColumnOfFieldTypeEncodesTyped) {
+  ColumnBatch cb = DeviantRepBatch();
+  ASSERT_EQ(cb.columns[0].rep(), ColumnRep::kBoxed);
+  const Batch rows = ToRowBatch(cb);
+  const std::string bytes = SerializeColumnBatch(cb);
+  EXPECT_EQ(bytes, ref::SerializeBatch(rows));
+  // Typed on the wire: the bytes are those of the column's typed twin,
+  // and they decode to typed storage.
+  Result<ColumnBatch> typed = ToColumnBatch(rows);
+  ASSERT_TRUE(typed.ok());
+  ASSERT_EQ(typed->columns[0].rep(), ColumnRep::kInt64);
+  EXPECT_EQ(SerializeColumnBatch(*typed), bytes);
+  Result<ColumnBatch> back = DeserializeColumnBatch(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->columns[0].rep(), ColumnRep::kInt64);
+}
+
+TEST(ColumnarEdgeTest, RetypedColumnEncodesTagged) {
+  ColumnBatch cb = DeviantRepBatch();
+  const std::string bytes = SerializeColumnBatch(cb);
+  EXPECT_EQ(bytes, ref::SerializeBatch(ToRowBatch(cb)));
+  Result<ColumnBatch> back = DeserializeColumnBatch(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  // Tagged on the wire: the int64 cells survive as int64 in a kBoxed
+  // column, not as float64.
+  ASSERT_EQ(back->columns[1].rep(), ColumnRep::kBoxed);
+  EXPECT_TRUE(back->columns[1].BoxedAt(0).is_int64());
+  EXPECT_EQ(back->columns[1].BoxedAt(2).int64(), -2);
+  EXPECT_TRUE(back->columns[1].BoxedAt(1).is_null());
+  ExpectBatchesBitEq(ToRowBatch(*back), ToRowBatch(cb));
+}
+
+TEST(ColumnarEdgeTest, DeviantColumnsUnderSelectionMatchReference) {
+  // Every other row, then only the odd rows: the retyped column is
+  // tagged in the first view and all NULL (so typed, with an empty
+  // payload) in the second.
+  for (const uint32_t first : {0u, 1u}) {
+    ColumnBatch cb = DeviantRepBatch();
+    std::vector<uint32_t> sel;
+    for (uint32_t i = first; i < cb.physical_rows; i += 2) sel.push_back(i);
+    cb.selection = std::move(sel);
+    const Batch gathered = ToRowBatch(cb);
+    EXPECT_EQ(SerializeColumnBatch(cb), ref::SerializeBatch(gathered))
+        << "selection from row " << first;
+    Result<ColumnBatch> back = DeserializeColumnBatch(SerializeColumnBatch(cb));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ExpectBatchesBitEq(ToRowBatch(*back), gathered);
+  }
 }
 
 // ---- Operator parity against the reference evaluator -----------------

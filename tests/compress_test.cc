@@ -5,8 +5,8 @@
 // corrupt frames (truncations, codec-tag flips, length-field lies, bit
 // flips) must always fail closed with IOError — never crash, hang, or
 // size an allocation from untrusted bytes. Serde integration rides the
-// same suite: a framed SerializeBatch payload must decode through
-// DeserializeBatch/DeserializeColumnBatch identically to the raw one.
+// same suite: a framed SerializeColumnBatch payload must decode through
+// DeserializeColumnBatch identically to the raw one.
 
 #include "common/compress.h"
 
@@ -229,8 +229,8 @@ TEST(CompressTest, CrossesBlockBoundaries) {
 
 // Serde values that have bitten codecs before: NaN and -0.0 payloads,
 // empty and multi-KB strings, all column types — the frame must hand
-// DeserializeBatch the exact bytes it framed.
-Batch EdgeCaseBatch() {
+// DeserializeColumnBatch the exact bytes it framed.
+std::string EdgeCaseWire() {
   Batch b;
   b.schema = Schema({Field{"i", DataType::kInt64},
                      Field{"f", DataType::kFloat64},
@@ -247,44 +247,39 @@ Batch EdgeCaseBatch() {
     b.rows.push_back({Value(int64_t{i} << 32), Value(i * 0.125),
                       Value("row-" + std::to_string(i % 7))});
   }
-  return b;
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  EXPECT_TRUE(cb.ok()) << cb.status().ToString();
+  return cb.ok() ? SerializeColumnBatch(*cb) : std::string();
 }
 
 TEST(CompressSerdeTest, FramedBatchDecodesIdentically) {
-  const Batch b = EdgeCaseBatch();
-  const std::string wire = SerializeBatch(b);
+  const std::string wire = EdgeCaseWire();
   const std::string frame = CompressFrame(wire);
   ASSERT_TRUE(IsCompressedFrame(frame));
 
-  auto direct = DeserializeBatch(wire);
-  auto framed = DeserializeBatch(frame);
+  auto direct = DeserializeColumnBatch(wire);
+  auto framed = DeserializeColumnBatch(frame);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(framed.ok()) << framed.status().ToString();
   // Byte-identity is the strongest equality serde offers.
-  EXPECT_EQ(SerializeBatch(*framed), SerializeBatch(*direct));
-
-  auto col_direct = DeserializeColumnBatch(wire);
-  auto col_framed = DeserializeColumnBatch(frame);
-  ASSERT_TRUE(col_direct.ok());
-  ASSERT_TRUE(col_framed.ok()) << col_framed.status().ToString();
-  EXPECT_EQ(SerializeColumnBatch(*col_framed),
-            SerializeColumnBatch(*col_direct));
+  EXPECT_EQ(SerializeColumnBatch(*framed), SerializeColumnBatch(*direct));
+  EXPECT_EQ(SerializeColumnBatch(*framed), wire);
 }
 
 TEST(CompressSerdeTest, NestedFrameRejected) {
-  const std::string wire = SerializeBatch(EdgeCaseBatch());
+  const std::string wire = EdgeCaseWire();
   const std::string once = CompressFrame(wire);
   const std::string twice = CompressFrame(once);
-  auto result = DeserializeBatch(twice);
+  auto result = DeserializeColumnBatch(twice);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
 }
 
 TEST(CompressSerdeTest, CorruptFrameFailsClosedThroughSerde) {
-  const std::string wire = SerializeBatch(EdgeCaseBatch());
+  const std::string wire = EdgeCaseWire();
   std::string frame = CompressFrame(wire);
   frame[4] ^= 0x7F;  // the fault injector's frame mangle
-  auto result = DeserializeBatch(frame);
+  auto result = DeserializeColumnBatch(frame);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIOError);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
+
 namespace swift {
 namespace {
 
@@ -16,10 +18,21 @@ Batch SampleBatch() {
   return b;
 }
 
+std::string Encode(const Batch& b) {
+  Result<ColumnBatch> cb = ToColumnBatch(b);
+  EXPECT_TRUE(cb.ok()) << cb.status().ToString();
+  return cb.ok() ? SerializeColumnBatch(*cb) : std::string();
+}
+
+Result<Batch> Decode(std::string_view bytes) {
+  SWIFT_ASSIGN_OR_RETURN(ColumnBatch cb, DeserializeColumnBatch(bytes));
+  return ToRowBatch(cb);
+}
+
 TEST(SerdeTest, RoundTripPreservesEverything) {
   Batch b = SampleBatch();
-  std::string bytes = SerializeBatch(b);
-  auto r = DeserializeBatch(bytes);
+  std::string bytes = Encode(b);
+  auto r = Decode(bytes);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->schema, b.schema);
   ASSERT_EQ(r->num_rows(), b.num_rows());
@@ -36,99 +49,64 @@ TEST(SerdeTest, RoundTripPreservesEverything) {
 TEST(SerdeTest, EmptyBatch) {
   Batch b;
   b.schema = Schema({{"x", DataType::kInt64}});
-  auto r = DeserializeBatch(SerializeBatch(b));
+  auto r = Decode(Encode(b));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 0u);
   EXPECT_EQ(r->schema.num_fields(), 1u);
 }
 
-TEST(SerdeTest, SizeEstimateMatchesActual) {
-  Batch b = SampleBatch();
-  EXPECT_EQ(SerializedBatchSize(b), SerializeBatch(b).size());
-  Batch empty;
-  EXPECT_EQ(SerializedBatchSize(empty), SerializeBatch(empty).size());
+TEST(SerdeTest, RejectsBadMagic) {
+  std::string bytes = Encode(SampleBatch());
+  bytes[0] = 'X';
+  EXPECT_EQ(DeserializeColumnBatch(bytes).status().code(),
+            StatusCode::kIOError);
 }
 
-TEST(SerdeTest, RejectsBadMagic) {
-  std::string bytes = SerializeBatch(SampleBatch());
-  bytes[0] = 'X';
-  EXPECT_EQ(DeserializeBatch(bytes).status().code(), StatusCode::kIOError);
+TEST(SerdeTest, RejectsRetiredV1Magic) {
+  // The row-shaped v1 format ("SWFT") is no longer read: its buffers
+  // fail as an unknown magic, never as a decode of some other shape.
+  std::string bytes = Encode(SampleBatch());
+  bytes[0] = 'T';  // little-endian u32 0x53574654
+  auto r = DeserializeColumnBatch(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().ToString().find("bad batch magic"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(SerdeTest, RejectsTruncation) {
-  std::string bytes = SerializeBatch(SampleBatch());
+  std::string bytes = Encode(SampleBatch());
   for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2, std::size_t{5}}) {
-    EXPECT_FALSE(DeserializeBatch(bytes.substr(0, cut)).ok())
+    EXPECT_FALSE(DeserializeColumnBatch(bytes.substr(0, cut)).ok())
         << "cut at " << cut;
   }
 }
 
 TEST(SerdeTest, RejectsTrailingGarbage) {
-  std::string bytes = SerializeBatch(SampleBatch()) + "junk";
-  EXPECT_EQ(DeserializeBatch(bytes).status().code(), StatusCode::kIOError);
-}
-
-TEST(SerdeTest, V1RejectsBadTypeTag) {
-  Batch b;
-  b.schema = Schema({{"x", DataType::kInt64}});
-  std::string bytes = SerializeBatchV1(b);
-  // Corrupt the field type byte (last byte of the schema section).
-  // v1 layout: magic(4) nfields(4) namelen(4) name(1) type(1) ...
-  bytes[13] = 99;
-  EXPECT_FALSE(DeserializeBatch(bytes).ok());
-}
-
-TEST(SerdeTest, V1BuffersStillDeserialize) {
-  // Version dispatch: spill files and retained recovery slots written in
-  // the v1 format stay readable forever.
-  Batch b = SampleBatch();
-  std::string v1 = SerializeBatchV1(b);
-  EXPECT_EQ(v1.size(), SerializedBatchSizeV1(b));
-  auto r = DeserializeBatch(v1);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->schema, b.schema);
-  ASSERT_EQ(r->num_rows(), b.num_rows());
-  for (std::size_t i = 0; i < b.rows.size(); ++i) {
-    for (std::size_t c = 0; c < b.rows[i].size(); ++c) {
-      EXPECT_EQ(r->rows[i][c].Compare(b.rows[i][c]), 0);
-    }
-  }
-  // And the two formats are distinguishable on the wire.
-  EXPECT_NE(v1.substr(0, 4), SerializeBatch(b).substr(0, 4));
-}
-
-TEST(SerdeTest, V2IsSmallerThanV1OnTypedRows) {
-  Batch b;
-  b.schema = Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  for (int64_t i = 0; i < 1000; ++i) {
-    b.rows.push_back({Value(i), Value(i * 3)});
-  }
-  // v1 pays a type tag per value and a column count per row; v2 pays one
-  // bitmap bit per value.
-  EXPECT_LT(SerializedBatchSize(b), SerializedBatchSizeV1(b));
-  EXPECT_LT(static_cast<double>(SerializeBatch(b).size()),
-            0.85 * static_cast<double>(SerializeBatchV1(b).size()));
+  std::string bytes = Encode(SampleBatch()) + "junk";
+  EXPECT_EQ(DeserializeColumnBatch(bytes).status().code(),
+            StatusCode::kIOError);
 }
 
 TEST(SerdeTest, V2CrcDetectsEveryByteFlip) {
-  const std::string bytes = SerializeBatch(SampleBatch());
+  const std::string bytes = Encode(SampleBatch());
   for (std::size_t pos = 4; pos < bytes.size(); ++pos) {
     std::string corrupt = bytes;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x5A);
-    auto r = DeserializeBatch(corrupt);
+    auto r = DeserializeColumnBatch(corrupt);
     EXPECT_FALSE(r.ok()) << "flip at " << pos;
     EXPECT_EQ(r.status().code(), StatusCode::kIOError);
   }
 }
 
 TEST(SerdeTest, MixedTypeColumnRoundTrips) {
-  // A column whose cells deviate from the schema type falls back to
-  // per-value tags inside v2; values and types survive exactly.
+  // A column whose cells deviate from the schema type is written with
+  // per-value tags; values and types survive exactly.
   Batch b;
   b.schema = Schema({{"x", DataType::kInt64}});
   b.rows = {{Value(int64_t{1})}, {Value("not an int")}, {Value::Null()},
             {Value(2.5)}};
-  auto r = DeserializeBatch(SerializeBatch(b));
+  auto r = Decode(Encode(b));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->num_rows(), 4u);
   EXPECT_EQ(r->rows[0][0].int64(), 1);
@@ -137,25 +115,12 @@ TEST(SerdeTest, MixedTypeColumnRoundTrips) {
   EXPECT_EQ(r->rows[3][0].float64(), 2.5);
 }
 
-TEST(SerdeTest, RaggedRowsFallBackToV1) {
-  Batch b;
-  b.schema = Schema({{"x", DataType::kInt64}, {"y", DataType::kString}});
-  b.rows = {{Value(int64_t{1}), Value("a")}, {Value(int64_t{2})}};
-  const std::string bytes = SerializeBatch(b);
-  EXPECT_EQ(bytes, SerializeBatchV1(b));  // schema elision needs uniform rows
-  EXPECT_EQ(bytes.size(), SerializedBatchSize(b));
-  auto r = DeserializeBatch(bytes);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->num_rows(), 2u);
-  EXPECT_EQ(r->rows[1].size(), 1u);
-}
-
 TEST(SerdeTest, AllNullTypedColumnRoundTrips) {
   Batch b;
   b.schema = Schema({{"opt", DataType::kNull}, {"v", DataType::kInt64}});
   b.rows = {{Value::Null(), Value(int64_t{1})},
             {Value::Null(), Value::Null()}};
-  auto r = DeserializeBatch(SerializeBatch(b));
+  auto r = Decode(Encode(b));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->rows[0][0].is_null());
   EXPECT_TRUE(r->rows[1][1].is_null());
@@ -168,7 +133,7 @@ TEST(SerdeTest, LargeBatchRoundTrip) {
   for (int64_t i = 0; i < 5000; ++i) {
     b.rows.push_back({Value(i), Value(std::string(i % 40, 'a'))});
   }
-  auto r = DeserializeBatch(SerializeBatch(b));
+  auto r = Decode(Encode(b));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->num_rows(), 5000u);
   EXPECT_EQ(r->rows[4999][0].int64(), 4999);

@@ -25,7 +25,7 @@
 namespace swift {
 namespace {
 
-// (query, sort_mode, forced Remote) -> CRC-32C of SerializeBatch(result).
+// (query, sort_mode, forced Remote) -> CRC-32C of the result's wire bytes.
 using GoldenKey = std::tuple<int, bool, bool>;
 
 const std::map<GoldenKey, uint32_t>& Golden() {
@@ -82,7 +82,10 @@ const std::map<GoldenKey, uint32_t>& Golden() {
 // footer: a CRC taken over a message that already ends in its own CRC
 // is the same constant for every message.
 uint32_t Digest(const Batch& result) {
-  const std::string wire = SerializeBatch(result);
+  Result<ColumnBatch> columns = ToColumnBatch(result);
+  EXPECT_TRUE(columns.ok()) << columns.status().ToString();
+  if (!columns.ok()) return 0;
+  const std::string wire = SerializeColumnBatch(*columns);
   return Crc32(std::string_view(wire).substr(0, wire.size() - 4));
 }
 

@@ -50,7 +50,9 @@ std::string LineitemWire(double scale_factor) {
   Batch b;
   b.schema = table->schema;
   b.rows = table->rows;
-  return SerializeBatch(b);
+  Result<ColumnBatch> columns = ToColumnBatch(b);
+  EXPECT_TRUE(columns.ok()) << columns.status().ToString();
+  return columns.ok() ? SerializeColumnBatch(*columns) : std::string();
 }
 
 TEST(TpchPerfGuardTest, CodecThroughputFloorsOnTpchPayload) {
